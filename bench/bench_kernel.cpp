@@ -106,7 +106,7 @@ void bm_delta_chain(benchmark::State& state) {
     std::vector<std::unique_ptr<Signal<int>>> sigs;
     for (std::size_t i = 0; i <= n; ++i) {
         sigs.push_back(std::make_unique<Signal<int>>(
-            sch, "s" + std::to_string(i), 0));
+            sch, 's' + std::to_string(i), 0));
     }
     std::vector<std::unique_ptr<Process>> procs;
     for (std::size_t i = 0; i < n; ++i) {

@@ -1,15 +1,29 @@
 #include "memory.hpp"
 
+#include <array>
+#include <bit>
 #include <cassert>
+#include <new>
+#include <type_traits>
 
 namespace autovision {
 
+// calloc's zero bytes must *be* the init image: Word{0} is all-zero bytes,
+// and a Word is a plain value the allocation can hold without construction.
+static_assert(std::is_trivially_copyable_v<Word> &&
+              std::is_trivially_destructible_v<Word>);
+static_assert(std::bit_cast<std::array<unsigned char, sizeof(Word)>>(Word{0}) ==
+              std::array<unsigned char, sizeof(Word)>{});
+
 Memory::Memory() : Memory(Config{}) {}
 
-Memory::Memory(Config cfg) : cfg_(cfg) {
+Memory::Memory(Config cfg)
+    : cfg_(cfg),
+      nwords_(cfg.size_bytes / 4),
+      words_(static_cast<Word*>(std::calloc(nwords_, sizeof(Word)))) {
     assert(cfg_.size_bytes % 4 == 0);
-    words_.assign(cfg_.size_bytes / 4, Word{0});
-    page_dirty_.assign((words_.size() + kPageWords - 1) / kPageWords, 0);
+    if (!words_ && nwords_ != 0) throw std::bad_alloc();
+    page_dirty_.assign((nwords_ + kPageWords - 1) / kPageWords, 0);
     page_gen_.assign(page_dirty_.size(), 0);
 }
 

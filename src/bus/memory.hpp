@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -95,44 +97,53 @@ public:
 
     // --- checkpoint ------------------------------------------------------
     /// RLE over the 4-state image: each word's (val<<32 | unk) planes form
-    /// one u64 run value, so the zero-dominated image stays tiny.
+    /// one u64 run value, so the zero-dominated image stays tiny. Save cost
+    /// scales with the *dirty* footprint: a clean page is all Word{0} (see
+    /// page_dirty_), so it is one zero group that is never read, and its
+    /// host pages are never faulted in. Only dirty pages are scanned word
+    /// by word; the encoder merges the groups into the same canonical runs
+    /// a per-word scan produces, so the bytes do not depend on which pages
+    /// are dirty.
     void ckpt_save(rtlsim::SnapWriter& w) const {
-        rtlsim::snap_rle_u64(w, words_.size(), [this](std::size_t i) {
-            return (static_cast<std::uint64_t>(words_[i].val_plane()) << 32) |
-                   words_[i].unk_plane();
+        rtlsim::snap_rle_u64_runs(w, nwords_, [this](std::size_t i) {
+            const std::size_t p = i / kPageWords;
+            const std::size_t end = std::min((p + 1) * kPageWords, nwords_);
+            if (page_dirty_[p] == 0) return rtlsim::SnapRun{end - i, 0};
+            const std::uint64_t v = packed(words_[i]);
+            std::size_t run = 1;
+            while (i + run < end && packed(words_[i + run]) == v) ++run;
+            return rtlsim::SnapRun{run, v};
         });
     }
-    /// Restore cost scales with the *touched* footprint, not the memory
-    /// size: a page whose dirty bit is clear still holds the init value
-    /// Word{0} everywhere (the bit is set on every write), so an all-zero
-    /// run only needs to re-fill the dirty pages it covers. An 8 MiB
-    /// image whose firmware + frame buffers span a few dozen pages
-    /// restores in microseconds instead of a 2M-word sweep.
+    /// Restore cost scales with the *touched* footprint too: an all-zero
+    /// run only needs to re-fill the dirty pages it covers, because a clean
+    /// page already holds Word{0}. An 8 MiB image whose firmware + frame
+    /// buffers span a few dozen pages restores in microseconds instead of
+    /// a 2M-word sweep. Together with the OS-zeroed image (construction
+    /// and teardown cost what was touched) and the dirty-page save, no
+    /// step of a warm start pays for the configured size.
     [[nodiscard]] bool ckpt_restore(rtlsim::SnapReader& r) {
         return rtlsim::snap_unrle_u64_runs(
-            r, words_.size(),
+            r, nwords_,
             [this](std::size_t i, std::uint64_t run, std::uint64_t v) {
                 const std::size_t p0 = i / kPageWords;
                 const std::size_t p1 = (i + run - 1) / kPageWords;
                 if (v != 0) {
-                    std::fill_n(
-                        words_.begin() + static_cast<std::ptrdiff_t>(i), run,
-                        Word::from_planes(v >> 32, v & 0xFFFF'FFFFull));
+                    std::fill_n(words_.get() + i, run,
+                                Word::from_planes(v >> 32, v & 0xFFFF'FFFFull));
                     for (std::size_t p = p0; p <= p1; ++p) page_dirty_[p] = 1;
                     return;
                 }
                 for (std::size_t p = p0; p <= p1; ++p) {
                     if (page_dirty_[p] == 0) continue;  // already all zero
                     const std::size_t lo = std::max(i, p * kPageWords);
-                    const std::size_t hi = std::min(
-                        {i + run, (p + 1) * kPageWords, words_.size()});
-                    std::fill(words_.begin() + static_cast<std::ptrdiff_t>(lo),
-                              words_.begin() + static_cast<std::ptrdiff_t>(hi),
-                              Word{0});
+                    const std::size_t hi =
+                        std::min({i + run, (p + 1) * kPageWords, nwords_});
+                    std::fill(words_.get() + lo, words_.get() + hi, Word{0});
                     // Fully zeroed pages are back to the init image; a
                     // partially covered page stays conservatively dirty.
                     if (lo == p * kPageWords &&
-                        hi == std::min((p + 1) * kPageWords, words_.size())) {
+                        hi == std::min((p + 1) * kPageWords, nwords_)) {
                         page_dirty_[p] = 0;
                     }
                 }
@@ -151,10 +162,23 @@ private:
         if (write_obs_) write_obs_(addr);
     }
 
+    [[nodiscard]] static std::uint64_t packed(Word w) {
+        return (w.val_plane() << 32) | w.unk_plane();
+    }
+
+    struct FreeWords {
+        void operator()(Word* p) const noexcept { std::free(p); }
+    };
+
     Config cfg_;
-    std::vector<Word> words_;
+    std::size_t nwords_;
+    /// The 4-state image, from calloc: a large image comes from a fresh
+    /// anonymous mapping whose pages the OS zeroes on first touch, so
+    /// construction and teardown cost the touched pages, not the size.
+    std::unique_ptr<Word[], FreeWords> words_;
     /// One byte per page; nonzero = some word in the page has been written
     /// since construction (its content may differ from the init Word{0}).
+    /// Zero = the page holds Word{0} everywhere: save and restore skip it.
     std::vector<std::uint8_t> page_dirty_;
     /// Monotone per-page write counter (see the write-tracking section).
     std::vector<std::uint32_t> page_gen_;

@@ -419,7 +419,9 @@ void DmaMaster::step() {
 
         case St::Xfer: {
             if (reading_ && is1(port_.rd_ack.read())) {
-                if (sink_) sink_(idx_, port_.rdata.read());
+                // An aborted burst that is granted again in full delivers
+                // beats past the transfer; the sink never sees them.
+                if (sink_ && idx_ < total_) sink_(idx_, port_.rdata.read());
                 ++idx_;
             }
             if (!reading_ && is1(port_.wr_ack.read())) {

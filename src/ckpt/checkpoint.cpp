@@ -1,8 +1,17 @@
 #include "checkpoint.hpp"
 
-#include <cstring>
-
 namespace autovision::ckpt {
+
+namespace {
+
+/// kMagic as one big-endian u64: the header's first eight bytes.
+constexpr std::uint64_t kMagicWord = [] {
+    std::uint64_t v = 0;
+    for (char c : kMagic) v = (v << 8) | static_cast<std::uint8_t>(c);
+    return v;
+}();
+
+}  // namespace
 
 // ------------------------------------------------------------------ Saver
 
@@ -22,7 +31,7 @@ void Saver::seal_current() {
 bool Saver::write_to(std::ostream& os) {
     seal_current();
     rtlsim::SnapWriter w;
-    for (char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
+    w.u64(kMagicWord);
     w.u32(manifest_.format_version);
     w.u64(manifest_.config_hash);
     w.u64(manifest_.sim_time);
@@ -43,9 +52,7 @@ bool Loader::load(std::istream& is, std::uint64_t expected_config_hash) {
     std::vector<std::uint8_t> blob{std::istreambuf_iterator<char>(is),
                                    std::istreambuf_iterator<char>()};
     rtlsim::SnapReader r(blob);
-    char magic[8];
-    for (char& c : magic) c = static_cast<char>(r.u8());
-    if (!r.ok_so_far() || std::memcmp(magic, kMagic, sizeof magic) != 0) {
+    if (r.u64() != kMagicWord || !r.ok_so_far()) {
         error_ = "not a checkpoint (bad magic)";
         return false;
     }

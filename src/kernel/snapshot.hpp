@@ -137,21 +137,50 @@ private:
     bool ok_ = true;
 };
 
+/// One group of equal values handed to snap_rle_u64_runs.
+struct SnapRun {
+    std::size_t run;
+    std::uint64_t value;
+};
+
+/// Run-aware encode, the mirror of snap_unrle_u64_runs: `next(i)` reports
+/// a group of `run` >= 1 values equal to `value` starting at index i (and
+/// ending at or before `count`). Adjacent groups with the same value are
+/// merged, so the output is the canonical maximal-run encoding whatever
+/// group boundaries the source picks — a memory can report a clean page
+/// as one zero group without reading it. Format: u64 count, then (u64 run
+/// length, u64 value) pairs.
+template <typename Next>
+void snap_rle_u64_runs(SnapWriter& w, std::size_t count, Next next) {
+    w.u64(count);
+    SnapRun cur{0, 0};
+    for (std::size_t i = 0; i < count;) {
+        const SnapRun g = next(i);
+        if (cur.run != 0 && g.value != cur.value) {
+            w.u64(cur.run);
+            w.u64(cur.value);
+            cur.run = 0;
+        }
+        cur = SnapRun{cur.run + g.run, g.value};
+        i += g.run;
+    }
+    if (cur.run != 0) {
+        w.u64(cur.run);
+        w.u64(cur.value);
+    }
+}
+
 /// Run-length encode `count` u64 values produced by `at(i)` (memories are
 /// mostly uniform: an 8 MiB zero-filled 4-state image collapses to a few
-/// bytes). Format: u64 count, then (u64 run length, u64 value) pairs.
+/// bytes).
 template <typename At>
 void snap_rle_u64(SnapWriter& w, std::size_t count, At at) {
-    w.u64(count);
-    std::size_t i = 0;
-    while (i < count) {
+    snap_rle_u64_runs(w, count, [&at, count](std::size_t i) {
         const std::uint64_t v = at(i);
         std::size_t run = 1;
         while (i + run < count && at(i + run) == v) ++run;
-        w.u64(run);
-        w.u64(v);
-        i += run;
-    }
+        return SnapRun{run, v};
+    });
 }
 
 /// Run-aware decode: delivers each (start, run, value) group once via

@@ -81,7 +81,7 @@ RrmHarness::RrmHarness(const RrmConfig& c)
         lay.sig_dcr = base + kSigOff;
         lay.vm_mode = cfg.vm_mode;
         regions_.push_back(std::make_unique<RegionBlock>(
-            sch, "r" + std::to_string(r), clk.out, rst.out, plb, lay));
+            sch, 'r' + std::to_string(r), clk.out, rst.out, plb, lay));
     }
 
     for (unsigned r = 0; r < cfg.regions; ++r) {
@@ -209,7 +209,7 @@ bool RrmHarness::save(std::ostream& os) const {
     dcr.ckpt_save(saver.section("dcr"));
     for (unsigned r = 0; r < regions_.size(); ++r) {
         regions_[r]->ckpt_save(
-            saver.section("r" + std::to_string(r) + ".block"));
+            saver.section('r' + std::to_string(r) + ".block"));
     }
     portal.ckpt_save(saver.section("portal"));
     icap.ckpt_save(saver.section("icap"));
@@ -245,7 +245,7 @@ bool RrmHarness::restore(std::istream& is, std::string* error) {
     if (!section("plb", plb)) return fail("plb");
     if (!section("dcr", dcr)) return fail("dcr");
     for (unsigned r = 0; r < regions_.size(); ++r) {
-        const std::string name = "r" + std::to_string(r) + ".block";
+        const std::string name = 'r' + std::to_string(r) + ".block";
         if (!section(name.c_str(), *regions_[r])) return fail(name);
     }
     if (!section("portal", portal)) return fail("portal");

@@ -43,7 +43,7 @@ std::string RunResult::verdict() const {
              std::to_string(output_mismatches) + " output] ";
     }
     if (!diagnostics.empty()) {
-        v += "[" + std::to_string(diagnostics.size()) +
+        v += '[' + std::to_string(diagnostics.size()) +
              " checker diagnostics, first: " + diagnostics.front().source +
              ": " + diagnostics.front().message + "]";
     }

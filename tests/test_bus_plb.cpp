@@ -85,6 +85,92 @@ TEST(Memory, BulkLoads) {
     EXPECT_EQ(mem.peek_u8(0x211), 0xAD);
 }
 
+// --- the 4-state image: construction, dirty-page save, round trip ------
+
+std::uint64_t packed(Word w) { return (w.val_plane() << 32) | w.unk_plane(); }
+
+/// The reference encoding: a per-word scan over the whole image.
+std::vector<std::uint8_t> per_word_rle(const Memory& mem) {
+    rtlsim::SnapWriter w;
+    rtlsim::snap_rle_u64(w, mem.size_bytes() / 4, [&](std::size_t i) {
+        return packed(mem.peek(mem.base() + 4 * static_cast<std::uint32_t>(i)));
+    });
+    return w.take();
+}
+
+std::vector<std::uint8_t> saved(const Memory& mem) {
+    rtlsim::SnapWriter w;
+    mem.ckpt_save(w);
+    return w.take();
+}
+
+constexpr std::uint32_t kPageBytes = Memory::kPageWords * 4;
+
+/// 16 pages plus a partial 17th, written at every shape the dirty-page
+/// save distinguishes.
+Memory patterned_image() {
+    Memory mem(Memory::Config{0, 16 * kPageBytes + 64, 4});
+    // Page edges: last word of page 0, first word of page 1.
+    mem.poke_u32(kPageBytes - 4, 0x11);
+    mem.poke_u32(kPageBytes, 0x22);
+    // An X word inside page 3.
+    mem.poke(3 * kPageBytes + 40, Word::all_x());
+    // Adjacent dirty pages 5 and 6, one value run across their boundary.
+    for (std::uint32_t a = 6 * kPageBytes - 16; a < 6 * kPageBytes + 16;
+         a += 4) {
+        mem.poke_u32(a, 0xABCD);
+    }
+    // Page 7 stays clean between dirty pages 6 and 8.
+    mem.poke_u32(8 * kPageBytes + 8, 0x33);
+    // Page 10 is dirty but written back to all zeros.
+    mem.poke_u32(10 * kPageBytes + 100, 0x44);
+    mem.poke_u32(10 * kPageBytes + 100, 0);
+    // The last word of the partial last page.
+    mem.poke_u32(16 * kPageBytes + 60, 0x55);
+    return mem;
+}
+
+TEST(MemoryImage, FreshLargeImageReadsZeroAndSavesOneZeroRun) {
+    const Memory mem(Memory::Config{0, 64u << 20, 4});
+    const std::uint32_t last = mem.size_bytes() - 4;
+    for (std::uint32_t a : {0u, kPageBytes - 4, kPageBytes, kPageBytes + 4,
+                            (last / 2) & ~(kPageBytes - 1),
+                            last + 4 - kPageBytes, last}) {
+        EXPECT_EQ(mem.peek(a), Word{0}) << a;
+    }
+    rtlsim::SnapWriter want;
+    want.u64(mem.size_bytes() / 4);  // count
+    want.u64(mem.size_bytes() / 4);  // one run over every word
+    want.u64(0);                     // of Word{0}
+    EXPECT_EQ(saved(mem), want.buffer());
+}
+
+TEST(MemoryImage, DirtyPageSaveEqualsPerWordRle) {
+    const Memory mem = patterned_image();
+    EXPECT_EQ(saved(mem), per_word_rle(mem));
+}
+
+TEST(MemoryImage, SaveRestoreRoundTrips) {
+    const Memory src = patterned_image();
+    const std::vector<std::uint8_t> blob = saved(src);
+
+    Memory fresh(Memory::Config{0, src.size_bytes(), 4});
+    // A target that already holds other writes restores to the same image.
+    Memory used(Memory::Config{0, src.size_bytes(), 4});
+    used.poke_u32(2 * kPageBytes, 0x99);
+    used.poke_u32(6 * kPageBytes, 0x77);
+    used.poke(16 * kPageBytes, Word::all_x());
+    for (Memory* dst : {&fresh, &used}) {
+        rtlsim::SnapReader r(blob);
+        ASSERT_TRUE(dst->ckpt_restore(r));
+        EXPECT_TRUE(r.ok());
+        EXPECT_EQ(saved(*dst), blob);
+        for (std::uint32_t a = 0; a < src.size_bytes(); a += 4) {
+            ASSERT_EQ(dst->peek(a), src.peek(a)) << a;
+        }
+    }
+}
+
 TEST(Plb, SingleBurstRead) {
     BusTb tb(1);
     for (unsigned i = 0; i < 8; ++i) tb.mem.poke_u32(0x1000 + 4 * i, 100 + i);
@@ -214,6 +300,41 @@ TEST(Plb, TwoMastersInterleaveFairly) {
     }
     EXPECT_EQ(tb.plb.counters().transactions, 8u) << "4 bursts each";
     EXPECT_EQ(tb.plb.counters().aborts, 0u);
+}
+
+// An isolated master's req is clamped low mid-burst; with another master
+// waiting, the bus aborts the burst. When the clamp lifts, the master still
+// holds its original request, so the bus grants the whole burst again and
+// delivers more read beats than the transfer has words. The DmaMaster must
+// not hand those beats to its sink: a sink writing into a buffer sized for
+// the transfer (an engine's frame buffer) would overflow it.
+TEST(Plb, RegrantedBurstNeverDeliversBeatsPastTheTransfer) {
+    BusTb tb(2);
+    for (unsigned i = 0; i < 8; ++i) tb.mem.poke_u32(0x1000 + 4 * i, 100 + i);
+    BusTb::Driver d0(tb, 0, 16);
+    BusTb::Driver d1(tb, 1, 16);
+    std::vector<std::uint32_t> got;
+    bool done = false;
+    d0.dma.start_read(
+        0x1000, 8, [&](std::uint32_t i, Word) { got.push_back(i); },
+        [&] { done = true; });
+    for (unsigned c = 0; c < 100 && d0.dma.words_done() < 3; ++c) {
+        tb.run_cycles(1);
+    }
+    ASSERT_EQ(d0.dma.words_done(), 3u);
+
+    tb.plb.master(0).req.write(Logic::L0);
+    d1.dma.start_read(0x2000, 2, [](std::uint32_t, Word) {});
+    tb.run_cycles(2);
+    tb.plb.master(0).req.write(Logic::L1);
+    tb.run_cycles(100);
+
+    ASSERT_TRUE(done);
+    EXPECT_EQ(tb.plb.counters().aborts, 1u);
+    EXPECT_GT(tb.plb.master_counters(0).read_beats, 8u)
+        << "the burst is granted again in full";
+    ASSERT_EQ(got.size(), 8u);
+    for (std::uint32_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], i);
 }
 
 TEST(Plb, WriteThenReadBack) {

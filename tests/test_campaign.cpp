@@ -368,7 +368,7 @@ TEST(CampaignSink, ManyConcurrentWritersNeverInterleave) {
             writers.emplace_back([&sink, w] {
                 for (int i = 0; i < kPerWriter; ++i) {
                     JobRecord rec;
-                    rec.name = "w" + std::to_string(w) + ".r" +
+                    rec.name = 'w' + std::to_string(w) + ".r" +
                                std::to_string(i);
                     // A writer-distinct filler long enough that a torn or
                     // interleaved write would split it across lines.

@@ -327,6 +327,35 @@ TEST(RrmIsolationContention, SimultaneousWindowsStayClean) {
     EXPECT_TRUE(overlapped);
 }
 
+TEST(RrmIsolationContention, AbortedBurstRegrantStaysInsideTheFrame) {
+    // A generated closure scenario (perfbench workload seed 22, campaign 23,
+    // b3.i6): the victim's session isolates the co-region while its engine
+    // is mid-burst, so the PLB aborts the burst and later grants it again
+    // in full. The extra read beats used to reach the engine's frame sink
+    // and write past its 16x12 buffer (a heap overflow under ASan, an
+    // abort in Release). The run must drain with only the abort reported.
+    RrmConfig cfg;
+    cfg.regions = 3;
+    cfg.policy = Policy::kRoundRobin;
+    cfg.grant = IcapArbiter::Grant::kPriority;
+    cfg.vm_mode = false;
+    cfg.payload_words = 12;
+    cfg.word_gap = 1;
+    cfg.jobs_per_region = 4;
+    cfg.width = 16;
+    cfg.height = 12;
+    cfg.corrupt = RegionCorrupt::kSimultaneousWindows;
+    cfg.victim = 2;
+    cfg.seed = 16203762205225590218ull;
+    const RrmResult res = run_rrm_scenario(cfg);
+    EXPECT_TRUE(res.completed);
+    EXPECT_EQ(res.swaps, 12u);
+    ASSERT_EQ(res.diagnostics, 1u);
+    EXPECT_NE(res.diagnostic_text.front().find("released req mid-burst"),
+              std::string::npos)
+        << res.diagnostic_text.front();
+}
+
 TEST(RrmIsolationContention, DroppedIsolationLeaksOnlyFromVictim) {
     // Region 0 forgets to isolate; region 1 runs the correct driver. The X
     // that escapes must be attributable to region 0's boundary alone —

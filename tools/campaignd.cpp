@@ -1,8 +1,8 @@
 // campaignd: the campaign service daemon CLI.
 //
-//   campaignd --socket /tmp/campaignd.sock --state /tmp/campaignd.state \
-//             [--shards N] [--executors N] [--jobs N] [--ckpt-interval N] \
-//             [--timeout MS] [--retries R] [--max-jobs N] \
+//   campaignd --socket /tmp/campaignd.sock --state /tmp/campaignd.state
+//             [--shards N] [--executors N] [--jobs N] [--ckpt-interval N]
+//             [--timeout MS] [--retries R] [--max-jobs N]
 //             [--max-per-client N] [--max-queued N] [--quiet]
 //
 // Runs in the foreground (a supervisor or the CI smoke backgrounds it) and

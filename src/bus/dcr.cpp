@@ -9,7 +9,8 @@ using rtlsim::is1;
 DcrChain::DcrChain(Scheduler& sch, const std::string& name, Signal<Logic>& clk,
                    Signal<Logic>& rst)
     : Module(sch, name), clk_(clk), rst_(rst) {
-    sync_proc("ring", [this] { on_clock(); }, {rtlsim::posedge(clk_)});
+    ring_ = &sync_proc("ring", [this] { on_clock(); },
+                       {rtlsim::posedge(clk_), rtlsim::wake_on(rst_)});
 }
 
 void DcrChain::start_read(std::uint32_t regno, std::function<void(Word)> done) {
@@ -22,6 +23,7 @@ void DcrChain::start_read(std::uint32_t regno, std::function<void(Word)> done) {
     data_ = Word::all_x();  // reads return X unless a node supplies data
     pos_ = 0;
     rd_done_ = std::move(done);
+    ring_->wake();
 }
 
 void DcrChain::start_write(std::uint32_t regno, Word data,
@@ -35,6 +37,7 @@ void DcrChain::start_write(std::uint32_t regno, Word data,
     data_ = data;
     pos_ = 0;
     wr_done_ = std::move(done);
+    ring_->wake();
 }
 
 void DcrChain::ckpt_save(rtlsim::SnapWriter& w) const {
@@ -68,7 +71,10 @@ void DcrChain::on_clock() {
         pos_ = 0;
         return;
     }
-    if (!busy_) return;
+    if (!busy_) {
+        ring_->gate();  // idle until start_read/start_write
+        return;
+    }
 
     if (pos_ < nodes_.size()) {
         DcrSlaveIf* n = nodes_[pos_];

@@ -94,6 +94,7 @@ private:
 
     Signal<Logic>& clk_;
     Signal<Logic>& rst_;
+    rtlsim::Process* ring_ = nullptr;
     std::vector<DcrSlaveIf*> nodes_;
 
     bool busy_ = false;

@@ -15,12 +15,14 @@ Intc::Intc(Scheduler& sch, const std::string& name, Signal<Logic>& clk,
       rst_(rst),
       base_(dcr_base) {
     prev_.fill(Logic::L0);
-    sync_proc("capture", [this] { on_clock(); }, {rtlsim::posedge(clk_)});
+    capture_ = &sync_proc("capture", [this] { on_clock(); },
+                          {rtlsim::posedge(clk_), rtlsim::wake_on(rst_)});
 }
 
 unsigned Intc::attach(Signal<Logic>& line) {
     assert(lines_.size() < kMaxLines);
     lines_.push_back(&line);
+    line.add_listener(*capture_, rtlsim::Edge::Wake);
     return static_cast<unsigned>(lines_.size() - 1);
 }
 
@@ -33,9 +35,11 @@ void Intc::on_clock() {
         return;
     }
 
+    bool any_x = false;
     for (unsigned i = 0; i < lines_.size(); ++i) {
         const Logic cur = lines_[i]->read();
         if (is_unknown(cur)) {
+            any_x = true;
             // Corruption (typically an unisolated RR driving the done line)
             // poisons the status bit; report the first few occurrences.
             isr_.set_bit(i, Logic::X);
@@ -63,6 +67,10 @@ void Intc::on_clock() {
                      static_cast<std::uint32_t>(isr_.val_plane()));
     }
     irq_prev_ = asserted;
+    // Every input is now latched in prev_ and irq drives its level, so with
+    // defined inputs the next edge repeats this one exactly; an input
+    // change, a register write or reset reopens the gate.
+    if (!any_x) capture_->gate();
 }
 
 bool Intc::dcr_claims(std::uint32_t regno) const {
@@ -79,6 +87,7 @@ Word Intc::dcr_read(std::uint32_t regno) {
 }
 
 void Intc::dcr_write(std::uint32_t regno, Word w) {
+    capture_->wake();
     switch (regno - base_) {
         case kIsr:
             // Testbench hook: software-settable status bits (as on XPS INTC).

@@ -83,6 +83,7 @@ private:
     bool irq_prev_ = false;
     Signal<Logic>& clk_;
     Signal<Logic>& rst_;
+    rtlsim::Process* capture_ = nullptr;
     std::uint32_t base_;
     std::vector<Signal<Logic>*> lines_;
     std::array<Logic, kMaxLines> prev_{};

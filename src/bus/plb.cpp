@@ -52,7 +52,9 @@ Plb::Plb(Scheduler& sch, const std::string& name, Signal<Logic>& clk,
     starve_.assign(cfg_.num_masters, 0);
     x_reports_.assign(cfg_.num_masters, 0);
     mcounters_.assign(cfg_.num_masters, MasterCounters{});
-    sync_proc("fsm", [this] { on_clock(); }, {rtlsim::posedge(clk_)});
+    fsm_ = &sync_proc("fsm", [this] { on_clock(); },
+                      {rtlsim::posedge(clk_), rtlsim::wake_on(rst_)});
+    for (auto& p : ports_) p->req.add_listener(*fsm_, Edge::Wake);
 }
 
 PlbSlaveIf* Plb::decode(std::uint32_t addr) const {
@@ -63,12 +65,19 @@ PlbSlaveIf* Plb::decode(std::uint32_t addr) const {
 }
 
 void Plb::clear_pulses() {
-    for (auto& p : ports_) {
-        p->grant.write(Logic::L0);
-        p->rd_ack.write(Logic::L0);
-        p->wr_ack.write(Logic::L0);
-        p->done.write(Logic::L0);
-        p->err.write(Logic::L0);
+    // Pulses go only to the owner (beats, done) or the master last
+    // arbitrated (grant, decode error), and only on a cycle that leaves the
+    // bus out of Idle — so an Idle bus has nothing to clear, and a busy one
+    // at most two ports. The rule reads only checkpointed FSM state.
+    if (state_ == St::Idle) return;
+    for (const unsigned m : {owner_, last_granted_}) {
+        PlbMasterPort& p = *ports_[m];
+        p.grant.write(Logic::L0);
+        p.rd_ack.write(Logic::L0);
+        p.wr_ack.write(Logic::L0);
+        p.done.write(Logic::L0);
+        p.err.write(Logic::L0);
+        if (owner_ == last_granted_) break;
     }
 }
 
@@ -161,8 +170,10 @@ void Plb::on_clock() {
     if (state_ != St::Idle) ++counters_.busy_cycles;
 
     // Starvation accounting and X sniffing run every cycle.
+    bool any_req = false;  // some req is high or X
     for (unsigned m = 0; m < num_masters(); ++m) {
         check_master_signals(m);
+        any_req = any_req || !is0(ports_[m]->req.read());
         if (is1(ports_[m]->req.read()) &&
             !(state_ != St::Idle && m == owner_)) {
             ++mcounters_[m].grant_wait_cycles;
@@ -249,6 +260,11 @@ void Plb::on_clock() {
             state_ = St::Idle;
             break;
     }
+
+    // Ending Idle means no pulse went out this cycle; with every req low
+    // the next edge would only count itself, which counters() adds back
+    // from the skipped count. A req change or reset reopens the gate.
+    if (state_ == St::Idle && !any_req) fsm_->gate();
 }
 
 void Plb::ckpt_save(rtlsim::SnapWriter& w) const {
@@ -277,7 +293,9 @@ void Plb::ckpt_save(rtlsim::SnapWriter& w) const {
 }
 
 bool Plb::ckpt_restore(rtlsim::SnapReader& r) {
-    state_ = static_cast<St>(r.u8());
+    const std::uint8_t st = r.u8();
+    if (st > static_cast<std::uint8_t>(St::Cooldown)) return false;
+    state_ = static_cast<St>(st);
     owner_ = r.u32();
     last_granted_ = r.u32();
     cursor_ = r.u32();
@@ -299,7 +317,10 @@ bool Plb::ckpt_restore(rtlsim::SnapReader& r) {
     }
     for (unsigned& s : starve_) s = r.u32();
     for (unsigned& x : x_reports_) x = r.u32();
-    if (owner_ >= num_masters()) return false;
+    // clear_pulses() indexes both ports.
+    if (owner_ >= num_masters() || last_granted_ >= num_masters()) {
+        return false;
+    }
     slave_ = nullptr;
     if (state_ == St::ReadWait || state_ == St::ReadBurst ||
         state_ == St::WriteBeat || state_ == St::WriteGap) {
@@ -383,7 +404,9 @@ void DmaMaster::ckpt_save(rtlsim::SnapWriter& w) const {
 }
 
 bool DmaMaster::ckpt_restore(rtlsim::SnapReader& r) {
-    state_ = static_cast<St>(r.u8());
+    const std::uint8_t st = r.u8();
+    if (st > static_cast<std::uint8_t>(St::Gap)) return false;
+    state_ = static_cast<St>(st);
     reading_ = r.bool8();
     failed_ = r.bool8();
     addr_ = r.u32();

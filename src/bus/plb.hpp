@@ -131,23 +131,31 @@ public:
     /// Slaves are probed in attach order; the first claimant wins.
     void attach_slave(PlbSlaveIf& s) { slaves_.push_back(&s); }
 
-    [[nodiscard]] const Counters& counters() const { return counters_; }
+    /// Exact at any point: total_cycles includes the idle edges the gated
+    /// FSM skipped (each would only have counted itself).
+    [[nodiscard]] Counters counters() const {
+        Counters c = counters_;
+        c.total_cycles += fsm_->skipped();
+        return c;
+    }
     [[nodiscard]] const MasterCounters& master_counters(unsigned i) const {
         return mcounters_[i];
     }
     /// Fraction of out-of-reset cycles with a transaction in progress.
     [[nodiscard]] double utilisation() const {
-        return counters_.total_cycles == 0
+        const Counters c = counters();
+        return c.total_cycles == 0
                    ? 0.0
-                   : static_cast<double>(counters_.busy_cycles) /
-                         static_cast<double>(counters_.total_cycles);
+                   : static_cast<double>(c.busy_cycles) /
+                         static_cast<double>(c.total_cycles);
     }
     [[nodiscard]] const Config& config() const { return cfg_; }
 
     // --- checkpoint ------------------------------------------------------
     /// Arbiter/datapath FSM + counters. The decoded slave pointer is not
     /// serialized; restore re-derives it from the burst cursor (a burst
-    /// never crosses a slave's decode window).
+    /// never crosses a slave's decode window). A state byte past the last
+    /// FSM state is rejected.
     void ckpt_save(rtlsim::SnapWriter& w) const;
     [[nodiscard]] bool ckpt_restore(rtlsim::SnapReader& r);
 
@@ -163,6 +171,7 @@ private:
     Config cfg_;
     Signal<Logic>& clk_;
     Signal<Logic>& rst_;
+    rtlsim::Process* fsm_ = nullptr;
     std::vector<std::unique_ptr<PlbMasterPort>> ports_;
     std::vector<PlbSlaveIf*> slaves_;
     Counters counters_;
@@ -215,7 +224,8 @@ public:
     // --- checkpoint ------------------------------------------------------
     /// POD transfer state only; the data closures cannot be serialized and
     /// are re-installed by the owning module via ckpt_rearm() after its own
-    /// descriptor state is restored.
+    /// descriptor state is restored. A state byte past the last FSM state
+    /// is rejected.
     void ckpt_save(rtlsim::SnapWriter& w) const;
     [[nodiscard]] bool ckpt_restore(rtlsim::SnapReader& r);
     /// Re-install the completion closures without touching the transfer

@@ -34,7 +34,7 @@
 namespace autovision::ckpt {
 
 inline constexpr char kMagic[8] = {'A', 'V', 'C', 'K', 'P', 'T', 0, 1};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Checkpoint identity + integrity header.
 struct Manifest {

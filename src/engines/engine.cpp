@@ -14,12 +14,16 @@ EngineBase::EngineBase(rtlsim::Scheduler& sch, const std::string& name,
       stream_out(sch, full_name() + ".stream", rtlsim::LVec<8>{0}),
       regs_(regs),
       dma_(pins, burst_limit) {
-    sync_proc("datapath", [this] { on_clock(); }, {rtlsim::posedge(clk)});
+    datapath_ = &sync_proc("datapath", [this] { on_clock(); },
+                           {rtlsim::posedge(clk),
+                            rtlsim::wake_on(regs_.start_pulse),
+                            rtlsim::wake_on(regs_.reset_pulse)});
     (void)rst;  // engines use the soft reset pulse; hard reset comes via
                 // rm_activate (post-configuration state)
 }
 
 void EngineBase::rm_activate() {
+    datapath_->wake();
     active_ = true;
     running_ = false;
     dma_.reset();
@@ -50,6 +54,7 @@ std::vector<std::uint8_t> EngineBase::rm_save_state() {
 }
 
 bool EngineBase::rm_restore_state(std::span<const std::uint8_t> state) {
+    datapath_->wake();
     StateReader r(state);
     if (r.u32() != 0x5AFE'57A7) return false;
     const bool running = r.bool8();
@@ -92,7 +97,12 @@ void EngineBase::report_x_input() {
 }
 
 void EngineBase::on_clock() {
-    if (!active_) return;  // swapped out: flip-flops are not even configured
+    if (!active_) {
+        // Swapped out: flip-flops are not even configured. Idle until
+        // rm_activate.
+        datapath_->gate();
+        return;
+    }
 
     dma_.step();
     done_irq.write(Logic::L0);
@@ -113,6 +123,10 @@ void EngineBase::on_clock() {
             } else {
                 report("rejected start: bad configuration");
             }
+        } else if (!dma_.busy()) {
+            // done_irq driven low, no pulse: idle until a start/reset
+            // pulse edge or rm_activate.
+            datapath_->gate();
         }
         return;
     }

@@ -91,6 +91,7 @@ protected:
 private:
     void on_clock();
 
+    rtlsim::Process* datapath_ = nullptr;
     bool active_ = false;
     bool running_ = false;
     std::uint64_t jobs_ = 0;

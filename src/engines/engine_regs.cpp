@@ -11,10 +11,13 @@ EngineRegs::EngineRegs(rtlsim::Scheduler& sch, const std::string& name,
       start_pulse(sch, full_name() + ".start", Logic::L0),
       reset_pulse(sch, full_name() + ".reset", Logic::L0),
       base_(dcr_base) {
-    sync_proc("pulse_gen", [this] { on_clock(); }, {rtlsim::posedge(clk)});
+    pulse_gen_ = &sync_proc("pulse_gen", [this] { on_clock(); },
+                            {rtlsim::posedge(clk)});
 }
 
 void EngineRegs::on_clock() {
+    // Both pulses driven low with nothing pending: idle until a CTRL write.
+    if (!pend_start_ && !pend_reset_) pulse_gen_->gate();
     start_pulse.write(pend_start_ ? Logic::L1 : Logic::L0);
     reset_pulse.write(pend_reset_ ? Logic::L1 : Logic::L0);
     pend_start_ = false;
@@ -43,6 +46,7 @@ void EngineRegs::dcr_write(std::uint32_t regno, Word w) {
         case kCtrl:
             if (v & 1u) pend_start_ = true;
             if (v & 2u) pend_reset_ = true;
+            pulse_gen_->wake();
             break;
         case kStatus:
             if (v & 2u) done_ = false;  // W1C

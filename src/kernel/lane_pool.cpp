@@ -34,12 +34,22 @@ LanePool::~LanePool() {
     for (std::thread& t : threads_) t.join();
 }
 
-void LanePool::claim_loop() {
+void LanePool::claim_loop(std::uint64_t epoch) {
     const unsigned n = njobs_.load(std::memory_order_acquire);
+    const std::uint64_t tag = epoch << 32;
+    std::uint64_t cur = next_.load(std::memory_order_relaxed);
     while (true) {
-        const unsigned i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        (*job_)(i);
+        // The claim must belong to `epoch`: run() may already have reset
+        // the cursor for a newer run this thread has not synchronized with.
+        if ((cur & ~0xFFFF'FFFFull) != tag || (cur & 0xFFFF'FFFFull) >= n) {
+            return;
+        }
+        if (!next_.compare_exchange_weak(cur, cur + 1,
+                                         std::memory_order_relaxed)) {
+            continue;
+        }
+        (*job_)(static_cast<unsigned>(cur));
+        cur = next_.load(std::memory_order_relaxed);
         if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
             // Serialize with the waiter so the notify cannot slip between
             // its predicate check and its wait.
@@ -55,16 +65,18 @@ void LanePool::run(unsigned njobs, const std::function<void(unsigned)>& job) {
         for (unsigned i = 0; i < njobs; ++i) job(i);
         return;
     }
+    std::uint64_t epoch = 0;
     {
         std::lock_guard<std::mutex> lk(m_);
+        epoch = epoch_.load(std::memory_order_relaxed) + 1;
         job_ = &job;
-        next_.store(0, std::memory_order_relaxed);
+        next_.store(epoch << 32, std::memory_order_relaxed);
         done_.store(0, std::memory_order_relaxed);
         njobs_.store(njobs, std::memory_order_release);
-        epoch_.fetch_add(1, std::memory_order_release);
+        epoch_.store(epoch, std::memory_order_release);
     }
     cv_.notify_all();
-    claim_loop();
+    claim_loop(epoch);
     std::unique_lock<std::mutex> lk(m_);
     cv_done_.wait(lk, [&] {
         return done_.load(std::memory_order_acquire) == njobs;
@@ -92,7 +104,7 @@ void LanePool::worker_main() {
             if (quit_.load(std::memory_order_relaxed)) return;
         }
         seen = epoch_.load(std::memory_order_acquire);
-        claim_loop();
+        claim_loop(seen);
     }
 }
 

@@ -46,7 +46,7 @@ public:
 
 private:
     void worker_main();
-    void claim_loop();
+    void claim_loop(std::uint64_t epoch);
 
     std::vector<std::thread> threads_;
     std::mutex m_;
@@ -54,7 +54,10 @@ private:
     std::condition_variable cv_done_;  ///< run() waits for completion
     std::atomic<std::uint64_t> epoch_{0};
     std::atomic<bool> quit_{false};
-    std::atomic<unsigned> next_{0};
+    /// Claim cursor tagged with its run: (epoch << 32) | next job index.
+    /// A worker still leaving an earlier run cannot claim an index of a
+    /// newer one, whose job it never synchronized with.
+    std::atomic<std::uint64_t> next_{0};
     std::atomic<unsigned> done_{0};
     std::atomic<unsigned> njobs_{0};
     const std::function<void(unsigned)>* job_ = nullptr;

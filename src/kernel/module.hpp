@@ -21,6 +21,9 @@ struct Sens {
 [[nodiscard]] inline Sens posedge(SignalBase& s) { return {&s, Edge::Pos}; }
 [[nodiscard]] inline Sens negedge(SignalBase& s) { return {&s, Edge::Neg}; }
 [[nodiscard]] inline Sens anyedge(SignalBase& s) { return {&s, Edge::Any}; }
+/// Wake source of a gated process: a change reopens its gate without
+/// queueing it (see Process::gate()).
+[[nodiscard]] inline Sens wake_on(SignalBase& s) { return {&s, Edge::Wake}; }
 
 /// Base class for hardware modules. A module owns its processes and gives
 /// them hierarchical names; signals are owned by whoever declares them

@@ -32,11 +32,16 @@ void Process::notify() {
     sch_.notify_process(this, index_);
 }
 
-void Process::run_profiled() {
+bool Process::run_profiled() {
+    if (gated_) {
+        ++skipped_;
+        return false;
+    }
     ++invocations_;
     const auto t0 = std::chrono::steady_clock::now();
     fn_();
     self_time_ += std::chrono::steady_clock::now() - t0;
+    return true;
 }
 
 // -------------------------------------------------------------- SignalBase
@@ -61,6 +66,7 @@ void SignalBase::notify_listeners(bool rising, bool falling) {
             case Edge::Neg:
                 if (falling) sch_.notify_process(l.proc, l.idx);
                 break;
+            case Edge::Wake: l.proc->wake(); break;
         }
     }
 }
@@ -188,14 +194,12 @@ void Scheduler::run_lane(LaneCtx& lane) {
     if (profiling_) {
         for (Process* p : lane.queue) {
             sched_flags_[p->index_] = 0;
-            ++lane.invocations;
-            p->run_profiled();
+            lane.invocations += p->run_profiled() ? 1 : 0;
         }
     } else {
         for (Process* p : lane.queue) {
             sched_flags_[p->index_] = 0;
-            ++lane.invocations;
-            p->run();
+            lane.invocations += p->run() ? 1 : 0;
         }
     }
     tls_lane_ctx = prev;
@@ -257,20 +261,21 @@ void Scheduler::settle() {
 
         // Evaluate phase: run every process queued in the previous delta.
         // The profiling branch is taken once per delta, not per process.
+        // A gated process is skipped here rather than at fan-out, so the
+        // delta still counts and an earlier process's wake() in this same
+        // delta still lets it run (DESIGN.md "Activity gating").
         run_scratch_.swap(runnable_);
         if (lane_count_ > 1) {
             run_delta_lanes();
         } else if (profiling_) {
             for (Process* p : run_scratch_) {
                 sched_flags_[p->index_] = 0;
-                ++stats.proc_invocations;
-                p->run_profiled();
+                stats.proc_invocations += p->run_profiled() ? 1 : 0;
             }
         } else {
             for (Process* p : run_scratch_) {
                 sched_flags_[p->index_] = 0;
-                ++stats.proc_invocations;
-                p->run();
+                stats.proc_invocations += p->run() ? 1 : 0;
             }
         }
         run_scratch_.clear();
@@ -414,6 +419,11 @@ void Scheduler::ckpt_save(SnapWriter& w) const {
         w.str(d.source);
         w.str(d.message);
     }
+    w.u32(static_cast<std::uint32_t>(procs_.size()));
+    for (const Process* p : procs_) {
+        w.bool8(p->gated_);
+        w.u64(p->skipped_);
+    }
 }
 
 bool Scheduler::ckpt_restore(SnapReader& r) {
@@ -436,6 +446,13 @@ bool Scheduler::ckpt_restore(SnapReader& r) {
         d.source = r.str();
         d.message = r.str();
         diags_.push_back(std::move(d));
+    }
+    if (r.u32() != procs_.size()) return false;
+    for (Process* p : procs_) {
+        const std::uint8_t gated = r.u8();
+        if (gated > 1) return false;
+        p->gated_ = gated != 0;
+        p->skipped_ = r.u64();
     }
     return r.ok_so_far();
 }

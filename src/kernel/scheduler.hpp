@@ -19,8 +19,9 @@
 // update delta queues are double-buffered so no allocation happens at a
 // steady state; signal values live in a struct-of-arrays store
 // (signal_store.hpp) and commit through a dense packed-reference dirty
-// list with no virtual dispatch; and the profiling branch is hoisted out
-// of the per-process loop.
+// list with no virtual dispatch; the profiling branch is hoisted out of
+// the per-process loop; and an idle clocked process can gate itself so the
+// evaluate loop skips its body until a wake (DESIGN.md "Activity gating").
 //
 // Event lanes (DESIGN.md §13): processes carry a lane id, and when the
 // scheduler is configured with more than one lane the evaluate phase of a
@@ -82,9 +83,10 @@ struct LaneCtx {
 
 /// Which transitions of a signal trigger a sensitive process.
 enum class Edge : std::uint8_t {
-    Any,  ///< any committed value change
-    Pos,  ///< transition to a defined 1 (Logic signals only)
-    Neg,  ///< transition to a defined 0 (Logic signals only)
+    Any,   ///< any committed value change
+    Pos,   ///< transition to a defined 1 (Logic signals only)
+    Neg,   ///< transition to a defined 0 (Logic signals only)
+    Wake,  ///< any committed change reopens a gated process; never queues it
 };
 
 /// A static-sensitivity process: a callback re-run whenever one of the
@@ -105,6 +107,21 @@ public:
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] std::uint64_t invocations() const noexcept { return invocations_; }
 
+    // --- activity gating (DESIGN.md "Activity gating") --------------------
+    /// Called by a clocked body whose next run would change nothing: the
+    /// evaluate loop skips the process, uncounted, until a wake. A wake is
+    /// a committed change on an Edge::Wake signal or an explicit wake().
+    void gate() noexcept { gated_ = true; }
+    /// Reopen the gate. A process not yet evaluated in the current delta
+    /// still runs in it; otherwise it runs at its next trigger. From a
+    /// sequential context or a body on the process's own lane only
+    /// (DESIGN.md §13 partition rule).
+    void wake() noexcept { gated_ = false; }
+    [[nodiscard]] bool gated() const noexcept { return gated_; }
+    /// Triggers swallowed while gated: what invocations() would have added.
+    /// Per-cycle counters of a gated module add this to stay exact.
+    [[nodiscard]] std::uint64_t skipped() const noexcept { return skipped_; }
+
     /// Dense registration index (assigned at construction; stable for the
     /// scheduler's lifetime). Indexes the scheduler's flat scheduled-flag
     /// array.
@@ -123,20 +140,29 @@ private:
     friend class Scheduler;
 
     /// Hot path: no profiling branch — the scheduler selects between this
-    /// and run_profiled() once per delta, not once per invocation.
-    void run() {
+    /// and run_profiled() once per delta, not once per invocation. A gated
+    /// process only counts the trigger as skipped; returns whether the body
+    /// ran (DESIGN.md "Activity gating").
+    bool run() {
+        if (gated_) {
+            ++skipped_;
+            return false;
+        }
         ++invocations_;
         fn_();
+        return true;
     }
 
-    void run_profiled();
+    bool run_profiled();
 
     Scheduler& sch_;
     std::string name_;
     std::function<void()> fn_;
     std::uint32_t index_ = 0;
     std::uint16_t lane_ = 0;
+    bool gated_ = false;
     std::uint64_t invocations_ = 0;
+    std::uint64_t skipped_ = 0;
     std::chrono::nanoseconds self_time_{0};
 };
 
@@ -343,12 +369,16 @@ public:
     /// bytes are identical at every lane count.
     [[nodiscard]] bool ckpt_quiescent() const;
 
-    /// Serialize the kernel core: sim time, stop state, stats, diagnostics.
+    /// Serialize the kernel core: sim time, stop state, stats, diagnostics,
+    /// and the gate table (each process's gate flag and skipped count, in
+    /// registration order).
     void ckpt_save(SnapWriter& w) const;
     /// Restore the kernel core into a freshly elaborated scheduler: drains
     /// the event wheel (elaboration-time schedules), discards any pending
-    /// deltas, then restores time/stats/diagnostics. Event sources must
-    /// re-schedule themselves afterwards (Clock/ResetGen::ckpt_restore).
+    /// deltas, then restores time/stats/diagnostics/gates. A gate table
+    /// whose length is not the elaborated process count, or a gate flag
+    /// other than 0/1, is rejected. Event sources must re-schedule
+    /// themselves afterwards (Clock/ResetGen::ckpt_restore).
     [[nodiscard]] bool ckpt_restore(SnapReader& r);
 
     /// Serialize every registered signal (elaboration order), each tagged

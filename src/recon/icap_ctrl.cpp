@@ -20,7 +20,8 @@ IcapCtrl::IcapCtrl(rtlsim::Scheduler& sch, const std::string& name,
       // backpressure, so the helper's own splitting is disabled too.
       dma_(port, 0),
       icap_(icap) {
-    sync_proc("fsm", [this] { on_clock(); }, {rtlsim::posedge(clk)});
+    fsm_ = &sync_proc("fsm", [this] { on_clock(); },
+                      {rtlsim::posedge(clk), rtlsim::wake_on(rst)});
 }
 
 Word IcapCtrl::dcr_read(std::uint32_t regno) {
@@ -35,6 +36,7 @@ Word IcapCtrl::dcr_read(std::uint32_t regno) {
 }
 
 void IcapCtrl::dcr_write(std::uint32_t regno, Word w) {
+    fsm_->wake();
     if (w.has_unknown()) {
         report("X written to register " +
                std::to_string(regno - cfg_.dcr_base));
@@ -193,7 +195,12 @@ void IcapCtrl::on_clock() {
             start_transfer();
         }
     }
-    if (!busy_) return;
+    if (!busy_) {
+        // done_irq was just driven low and nothing is pending: idle until
+        // a register write (start/abort) or reset.
+        if (!dma_.busy()) fsm_->gate();
+        return;
+    }
 
     maybe_issue_burst();
 

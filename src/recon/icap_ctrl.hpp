@@ -83,6 +83,7 @@ private:
 
     Config cfg_;
     rtlsim::Signal<rtlsim::Logic>& rst_;
+    rtlsim::Process* fsm_ = nullptr;
     DmaMaster dma_;
     IcapPortIf& icap_;
 

@@ -11,7 +11,8 @@ VideoInVip::VideoInVip(rtlsim::Scheduler& sch, const std::string& name,
     : Module(sch, name),
       frame_irq(sch, full_name() + ".frame_irq", Logic::L0),
       dma_(port, 16) {
-    sync_proc("stream", [this] { on_clock(); }, {rtlsim::posedge(clk)});
+    stream_ = &sync_proc("stream", [this] { on_clock(); },
+                         {rtlsim::posedge(clk)});
 }
 
 void VideoInVip::send_frame(const video::Frame& f, std::uint32_t addr,
@@ -21,6 +22,7 @@ void VideoInVip::send_frame(const video::Frame& f, std::uint32_t addr,
         return;
     }
     busy_ = true;
+    stream_->wake();
     on_done_ = std::move(on_done);
     staging_.assign(f.pixels().begin(), f.pixels().end());
     // Pad to a word multiple (frames are byte-packed 4 per word).
@@ -47,6 +49,8 @@ void VideoInVip::send_frame(const video::Frame& f, std::uint32_t addr,
 
 void VideoInVip::on_clock() {
     dma_.step();
+    // Idle until send_frame once the DMA is done and frame_irq is low.
+    if (!pulse_ && !dma_.busy()) stream_->gate();
     frame_irq.write(pulse_ ? Logic::L1 : Logic::L0);
     pulse_ = false;
 }
@@ -99,7 +103,8 @@ VideoOutVip::VideoOutVip(rtlsim::Scheduler& sch, const std::string& name,
     : Module(sch, name),
       frame_irq(sch, full_name() + ".frame_irq", Logic::L0),
       dma_(port, 16) {
-    sync_proc("stream", [this] { on_clock(); }, {rtlsim::posedge(clk)});
+    stream_ = &sync_proc("stream", [this] { on_clock(); },
+                         {rtlsim::posedge(clk)});
 }
 
 void VideoOutVip::fetch_frame(std::uint32_t addr, unsigned w, unsigned h,
@@ -109,6 +114,7 @@ void VideoOutVip::fetch_frame(std::uint32_t addr, unsigned w, unsigned h,
         return;
     }
     busy_ = true;
+    stream_->wake();
     sink_ = std::move(sink);
     staging_ = video::Frame(w, h);
     dma_.start_read(
@@ -141,6 +147,8 @@ void VideoOutVip::fetch_frame(std::uint32_t addr, unsigned w, unsigned h,
 
 void VideoOutVip::on_clock() {
     dma_.step();
+    // Idle until fetch_frame once the DMA is done and frame_irq is low.
+    if (!pulse_ && !dma_.busy()) stream_->gate();
     frame_irq.write(pulse_ ? Logic::L1 : Logic::L0);
     pulse_ = false;
 }

@@ -50,6 +50,7 @@ public:
 private:
     void on_clock();
 
+    rtlsim::Process* stream_ = nullptr;
     DmaMaster dma_;
     std::vector<std::uint8_t> staging_;
     bool busy_ = false;
@@ -89,6 +90,7 @@ public:
 private:
     void on_clock();
 
+    rtlsim::Process* stream_ = nullptr;
     DmaMaster dma_;
     video::Frame staging_;
     bool busy_ = false;

@@ -179,6 +179,91 @@ TEST(Ckpt, TruncatedBlobFailsCleanly) {
     }
 }
 
+/// Re-seal `blob` with the payload of section `name` passed through
+/// `mutate`; every other section and the manifest are kept as they are.
+template <typename Mutate>
+std::string mutate_section(const std::string& blob, const std::string& name,
+                           Mutate mutate) {
+    autovision::ckpt::Loader loader;
+    std::istringstream is(blob);
+    EXPECT_TRUE(loader.load(is, 0)) << loader.error();
+    autovision::ckpt::Saver saver(loader.manifest());
+    for (const auto& info : loader.sections()) {
+        std::vector<std::uint8_t> payload = *loader.find(info.name);
+        if (info.name == name) mutate(payload);
+        rtlsim::SnapWriter& w = saver.section(info.name);
+        for (const std::uint8_t b : payload) w.u8(b);
+    }
+    std::ostringstream os;
+    EXPECT_TRUE(saver.write_to(os));
+    return os.str();
+}
+
+/// Restore `blob` into a fresh system; returns the diagnostic ("" = ok).
+std::string restore_error(const SystemConfig& cfg, const std::string& blob) {
+    OpticalFlowSystem fresh(cfg);
+    std::istringstream is(blob);
+    std::string err;
+    if (fresh.restore(is, &err)) return "";
+    return err.empty() ? "(no diagnostic)" : err;
+}
+
+TEST(Ckpt, MutatedGateTableAndFsmBytesAreRejected) {
+    const SystemConfig cfg = small_config();
+    DirectRun a(cfg);
+    a.run_to(1000 * cfg.clk_period);
+    const std::string blob = a.blob();
+    // Re-sealing without a mutation reproduces the blob exactly, so every
+    // rejection below is down to the one mutated byte.
+    ASSERT_EQ(mutate_section(blob, "kernel", [](auto&) {}), blob);
+    ASSERT_EQ(restore_error(cfg, blob), "");
+
+    // The kernel section ends with the gate table: u32 process count, then
+    // per process a gate flag byte and a u64 skipped count.
+    const std::size_t nproc = a.sys.sch.processes().size();
+    const auto table_at = [nproc](const std::vector<std::uint8_t>& p) {
+        return p.size() - 4 - 9 * nproc;
+    };
+    const auto kernel_with = [&](auto mutate) {
+        return restore_error(cfg, mutate_section(blob, "kernel", mutate));
+    };
+    EXPECT_NE(kernel_with([&](std::vector<std::uint8_t>& p) {
+                  const std::size_t t = table_at(p);
+                  ASSERT_EQ(p[t + 2] * 256u + p[t + 3], nproc);
+                  p[t + 3] = static_cast<std::uint8_t>(p[t + 3] + 1);
+              }).find("kernel"),
+              std::string::npos)
+        << "gate table longer than the elaborated process list";
+    EXPECT_NE(kernel_with([&](std::vector<std::uint8_t>& p) {
+                  const std::size_t t = table_at(p);
+                  ASSERT_LE(p[t + 4], 1u);
+                  p[t + 4] = 2;
+              }).find("kernel"),
+              std::string::npos)
+        << "gate flag byte other than 0/1";
+
+    // FSM state bytes past the last enumerator. The PLB section opens with
+    // the bus FSM state (Idle..Cooldown = 0..5); the icapctrl section with
+    // its DmaMaster's state (Idle..Gap = 0..3).
+    for (const std::uint8_t st : {std::uint8_t{6}, std::uint8_t{0xFF}}) {
+        const std::string err = restore_error(
+            cfg, mutate_section(blob, "plb", [st](std::vector<std::uint8_t>& p) {
+                p[0] = st;
+            }));
+        EXPECT_NE(err.find("plb"), std::string::npos)
+            << "PLB state byte " << int{st} << ": '" << err << "'";
+    }
+    for (const std::uint8_t st : {std::uint8_t{4}, std::uint8_t{0xFF}}) {
+        const std::string err = restore_error(
+            cfg, mutate_section(blob, "icapctrl",
+                                [st](std::vector<std::uint8_t>& p) {
+                                    p[0] = st;
+                                }));
+        EXPECT_NE(err.find("icapctrl"), std::string::npos)
+            << "DMA state byte " << int{st} << ": '" << err << "'";
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Warm == cold at adversarial save points
 // ---------------------------------------------------------------------------

@@ -294,5 +294,245 @@ TEST(Stats, DeltaAndUpdateCounting) {
     EXPECT_EQ(diff.signal_updates, 0u);
 }
 
+// --- activity gating ------------------------------------------------------
+// A gated process is skipped by the evaluate loop until a wake. These pin
+// the timing contract of DESIGN.md "Activity gating": skips are uncounted,
+// an Edge::Wake commit reopens the gate for the *next* trigger, and an
+// explicit wake() lets the process run in the current delta only if it has
+// not been evaluated there yet.
+
+TEST(KernelGate, GatedProcessIsNeitherRunNorCounted) {
+    Scheduler sch;
+    Clock clk(sch, "clk", 10 * NS);
+    int runs = 0;
+    Process* self = nullptr;
+    Process p(sch, "p", [&] {
+        ++runs;
+        self->gate();
+    });
+    self = &p;
+    clk.out.add_listener(p, Edge::Pos);
+    const SimStats before = sch.stats;
+    sch.run_until(50 * NS);  // posedges at 5/15/25/35/45 ns
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(p.invocations(), 1u);
+    EXPECT_EQ((sch.stats - before).proc_invocations, 1u);
+    EXPECT_TRUE(p.gated());
+    EXPECT_EQ(p.skipped(), 4u);
+}
+
+TEST(KernelGate, WakeEdgeCommitRunsAtTheNextPosedgeNotInItsDelta) {
+    Scheduler sch;
+    Clock clk(sch, "clk", 10 * NS);
+    Signal<int> in(sch, "in", 0);
+    std::vector<std::pair<Time, int>> seen;
+    Process* self = nullptr;
+    Process p(sch, "p", [&] {
+        seen.emplace_back(sch.now(), in.read());
+        self->gate();
+    });
+    self = &p;
+    clk.out.add_listener(p, Edge::Pos);
+    in.add_listener(p, Edge::Wake);
+    // A writer on the same edge as p: its write commits one delta after p
+    // was skipped at 15 ns, inside that timestep.
+    Process drv(sch, "drv", [&] {
+        if (sch.now() == 15 * NS) in.write(1);
+    });
+    clk.out.add_listener(drv, Edge::Pos);
+    // A timed write between edges commits in a delta of its own.
+    sch.schedule_at(27 * NS, [&] { in.write(2); });
+
+    sch.run_until(24 * NS);
+    EXPECT_EQ(seen, (std::vector<std::pair<Time, int>>{{5 * NS, 0}}));
+    EXPECT_FALSE(p.gated()) << "the committed change reopened the gate";
+    sch.run_until(30 * NS);
+    EXPECT_EQ(seen.size(), 2u) << "a wake never queues the process itself";
+    sch.run_until(40 * NS);
+    EXPECT_EQ(seen, (std::vector<std::pair<Time, int>>{
+                        {5 * NS, 0}, {25 * NS, 1}, {35 * NS, 2}}));
+    EXPECT_EQ(p.skipped(), 1u) << "only the 15 ns edge was swallowed";
+}
+
+TEST(KernelGate, WakeFromAnEarlierProcessRunsInTheSameDelta) {
+    // `gating` off is the reference: p runs on every edge.
+    const auto run = [](bool gating, std::vector<Time>& ran) {
+        Scheduler sch;
+        Clock clk(sch, "clk", 10 * NS);
+        Process* gated = nullptr;
+        // Fan-out order is registration order: the waker evaluates first.
+        Process waker(sch, "waker", [&] {
+            if (sch.now() == 25 * NS) gated->wake();
+        });
+        Process p(sch, "p", [&] {
+            ran.push_back(sch.now());
+            if (gating) gated->gate();
+        });
+        gated = &p;
+        clk.out.add_listener(waker, Edge::Pos);
+        clk.out.add_listener(p, Edge::Pos);
+        sch.run_until(40 * NS);
+        EXPECT_EQ(p.skipped(), gating ? 2u : 0u);  // 15 and 35 ns
+        return sch.stats;
+    };
+    std::vector<Time> gated_runs;
+    std::vector<Time> all_runs;
+    const SimStats gated = run(true, gated_runs);
+    const SimStats ungated = run(false, all_runs);
+    EXPECT_EQ(gated_runs, (std::vector<Time>{5 * NS, 25 * NS}));
+    EXPECT_EQ(all_runs.size(), 4u);
+    // Skipping happens in the evaluate loop, not the fan-out, so a gated
+    // process costs no delta cycle of its own and saves none either.
+    EXPECT_EQ(gated.delta_cycles, ungated.delta_cycles);
+    EXPECT_EQ(gated.proc_invocations + 2, ungated.proc_invocations);
+}
+
+TEST(KernelGate, WakeFromALaterProcessRunsAtTheNextEdge) {
+    Scheduler sch;
+    Clock clk(sch, "clk", 10 * NS);
+    std::vector<Time> ran;
+    Process* gated = nullptr;
+    Process p(sch, "p", [&] {
+        ran.push_back(sch.now());
+        gated->gate();
+    });
+    Process waker(sch, "waker", [&] {
+        if (sch.now() == 25 * NS) gated->wake();
+    });
+    gated = &p;
+    clk.out.add_listener(p, Edge::Pos);
+    clk.out.add_listener(waker, Edge::Pos);
+    sch.run_until(40 * NS);
+    // p was already skipped at 25 ns when the wake came, so it runs at 35.
+    EXPECT_EQ(ran, (std::vector<Time>{5 * NS, 35 * NS}));
+    EXPECT_EQ(p.skipped(), 2u);  // 15 and 25 ns
+}
+
+TEST(KernelGate, SkippedCountEqualsTheTriggersSwallowed) {
+    Scheduler sch;
+    Clock clk(sch, "clk", 10 * NS);
+    Signal<int> en(sch, "en", 0);
+    Process* self = nullptr;
+    Process p(sch, "p", [&] {
+        if (en.read() == 0) self->gate();
+    });
+    self = &p;
+    clk.out.add_listener(p, Edge::Pos);
+    en.add_listener(p, Edge::Wake);
+    // Toggle the enable a few times between edges; each toggle reopens the
+    // gate for one or more edges.
+    for (const Time t : {32 * NS, 58 * NS, 91 * NS, 140 * NS}) {
+        sch.schedule_at(t, [&] { en.write(1 - en.read()); });
+    }
+    sch.run_until(200 * NS);  // 20 posedges
+    EXPECT_EQ(p.invocations() + p.skipped(), 20u);
+    EXPECT_EQ(sch.stats.proc_invocations, p.invocations());
+    EXPECT_LT(p.invocations(), 20u);
+}
+
+/// A self-contained design whose whole state lives in signals, so the
+/// kernel section + clock + signal registry is a complete checkpoint:
+/// `drv` counts cycles and raises `en` 4 cycles in 12; the gated `ctr`
+/// counts enabled cycles and sleeps otherwise.
+struct GateDesign {
+    Scheduler sch;
+    Clock clk{sch, "clk", 10 * NS};
+    Signal<int> tick{sch, "tick", 0};
+    Signal<int> en{sch, "en", 0};
+    Signal<int> cnt{sch, "cnt", 0};
+    Process drv{sch, "drv", [this] {
+                    tick.write(tick.read() + 1);
+                    en.write((tick.read() / 4) % 3 == 0 ? 1 : 0);
+                }};
+    Process ctr{sch, "ctr", [this] {
+                    if (en.read() != 0) {
+                        cnt.write(cnt.read() + 1);
+                    } else {
+                        ctr.gate();
+                    }
+                }};
+
+    GateDesign() {
+        clk.out.add_listener(drv, Edge::Pos);
+        clk.out.add_listener(ctr, Edge::Pos);
+        en.add_listener(ctr, Edge::Wake);
+    }
+
+    [[nodiscard]] std::vector<std::uint8_t> save() const {
+        SnapWriter w;
+        sch.ckpt_save(w);
+        clk.ckpt_save(w);
+        sch.ckpt_save_signals(w);
+        return w.take();
+    }
+    [[nodiscard]] bool restore(const std::vector<std::uint8_t>& blob) {
+        SnapReader r(blob);
+        return sch.ckpt_restore(r) && clk.ckpt_restore(r) &&
+               sch.ckpt_restore_signals(r) && r.ok();
+    }
+};
+
+TEST(KernelGate, GateStateRoundTripsThroughCheckpoint) {
+    GateDesign warm;
+    warm.sch.run_until(63 * NS);  // mid-sleep: ctr gated at the 55 ns edge
+    ASSERT_TRUE(warm.ctr.gated());
+    ASSERT_TRUE(warm.sch.ckpt_quiescent());
+    const std::vector<std::uint8_t> mid = warm.save();
+
+    GateDesign restored;
+    ASSERT_TRUE(restored.restore(mid));
+    EXPECT_TRUE(restored.ctr.gated());
+    EXPECT_EQ(restored.ctr.skipped(), warm.ctr.skipped());
+    EXPECT_EQ(restored.sch.stats, warm.sch.stats);
+
+    GateDesign cold;
+    cold.sch.run_until(400 * NS);
+    restored.sch.run_until(400 * NS);
+    EXPECT_EQ(restored.cnt.read(), cold.cnt.read());
+    EXPECT_EQ(restored.sch.stats, cold.sch.stats)
+        << "warm and cold runs must count the same invocations";
+    EXPECT_EQ(restored.ctr.skipped(), cold.ctr.skipped());
+    EXPECT_EQ(restored.save(), cold.save());
+    EXPECT_GT(cold.ctr.skipped(), 0u);
+}
+
+TEST(KernelGate, RestoreRejectsAMalformedGateTable) {
+    GateDesign src;
+    src.sch.run_until(63 * NS);
+    SnapWriter w;
+    src.sch.ckpt_save(w);
+    const std::vector<std::uint8_t> good = w.take();
+    // The gate table closes the section: u32 count, then per process a
+    // flag byte and a u64 skipped count.
+    const std::size_t nproc = src.sch.processes().size();
+    const std::size_t table = good.size() - 4 - 9 * nproc;
+    ASSERT_EQ(good[table + 3], nproc);
+    {
+        GateDesign d;
+        SnapReader r(good);
+        EXPECT_TRUE(d.sch.ckpt_restore(r));
+    }
+    {
+        std::vector<std::uint8_t> bad = good;
+        bad[table + 3] = static_cast<std::uint8_t>(nproc + 1);
+        GateDesign d;
+        SnapReader r(bad);
+        EXPECT_FALSE(d.sch.ckpt_restore(r)) << "process count mismatch";
+    }
+    {
+        std::vector<std::uint8_t> bad = good;
+        bad[table + 4] = 2;
+        GateDesign d;
+        SnapReader r(bad);
+        EXPECT_FALSE(d.sch.ckpt_restore(r)) << "gate flag must be 0 or 1";
+    }
+    {
+        std::vector<std::uint8_t> bad(good.begin(), good.end() - 1);
+        GateDesign d;
+        SnapReader r(bad);
+        EXPECT_FALSE(d.sch.ckpt_restore(r)) << "truncated gate table";
+    }
+}
+
 }  // namespace
 }  // namespace rtlsim

@@ -7,12 +7,16 @@
 // pattern the lane partitioning rules promise is race-free.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "kernel/kernel.hpp"
+#include "kernel/lane_pool.hpp"
 #include "sys/testbench.hpp"
 
 namespace {
@@ -85,6 +89,32 @@ TEST(LanesKernel, StressManyProcessesLongRun) {
     farm.sch.run_until(2000 * 10 * NS);
     EXPECT_EQ(farm.values(), ref.values());
     EXPECT_EQ(farm.sch.stats, ref.sch.stats);
+}
+
+// Back-to-back runs of shrinking and growing width: a worker still leaving
+// one run must never claim an index of the next (whose job it has not
+// synchronized with), so every run executes each of its own indices
+// exactly once and nothing past its width. Under TSan this is also the
+// direct check that the pool publishes each run's job race-free.
+TEST(LanesPool, EachRunClaimsItsOwnIndicesExactlyOnce) {
+    rtlsim::LanePool pool(3);
+    constexpr unsigned kRuns = 4000;
+    constexpr unsigned kWidths[] = {6, 1, 4, 2, 5};
+    std::vector<unsigned> hits(8);
+    unsigned strays = 0;
+    for (unsigned run = 0; run < kRuns; ++run) {
+        const unsigned width = kWidths[run % std::size(kWidths)];
+        std::fill(hits.begin(), hits.end(), 0u);
+        // Each index is a distinct slot; a stray claim lands past `width`.
+        const std::function<void(unsigned)> job = [&](unsigned i) {
+            ++hits[i < hits.size() ? i : 0];
+        };
+        pool.run(width, job);
+        for (unsigned i = 0; i < hits.size(); ++i) {
+            strays += (hits[i] != (i < width ? 1u : 0u)) ? 1u : 0u;
+        }
+    }
+    EXPECT_EQ(strays, 0u);
 }
 
 TEST(LanesKernel, NarrowDeltasStaySequentialAndCorrect) {

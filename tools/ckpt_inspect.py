@@ -7,7 +7,7 @@ building the simulator. Layout (all integers big-endian, see
 src/ckpt/checkpoint.hpp and DESIGN.md §11):
 
     char[8]  magic "AVCKPT\\x00\\x01"
-    u32      format version (currently 1)
+    u32      format version (currently 2)
     u64      config hash (FNV-1a over the elaboration config; 0 = unchecked)
     u64      sim time (ns) at the save point
     u32      section count

@@ -126,7 +126,7 @@ public:
     /// clk) during them. The reset and external-interrupt inputs are
     /// registered as wake signals automatically, and every write into
     /// `imem` wakes the CPU (store-to-code / DMA visibility). Requires the
-    /// kCached engine and a single-lane scheduler; call once, before run.
+    /// kCached engine; call once, before run.
     void enable_sleep(rtlsim::Clock& gclk);
 
     /// Register an additional wake signal (e.g. a DMA-done line a polled

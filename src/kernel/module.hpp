@@ -43,14 +43,6 @@ public:
     [[nodiscard]] const std::string& full_name() const noexcept { return name_; }
     [[nodiscard]] Scheduler& scheduler() const noexcept { return sch_; }
 
-    /// Assign every process of this module to one event lane (see
-    /// DESIGN.md §13). Call after construction (so all processes exist)
-    /// and before simulation starts. Modules whose processes couple
-    /// through anything but committed signal reads must share a lane.
-    void set_lane(std::uint16_t lane) {
-        for (auto& p : procs_) sch_.set_process_lane(*p, lane);
-    }
-
 protected:
     /// Create a clocked process: runs on each triggering edge, never at
     /// elaboration (registers must not capture before the first real edge).

@@ -23,15 +23,7 @@
 // the per-process loop; and an idle clocked process can gate itself so the
 // evaluate loop skips its body until a wake (DESIGN.md "Activity gating").
 //
-// Event lanes (DESIGN.md §13): processes carry a lane id, and when the
-// scheduler is configured with more than one lane the evaluate phase of a
-// sufficiently wide delta runs the per-lane queues concurrently on a
-// LanePool. Only the evaluate phase is parallel — commits, fan-out and
-// time advance stay on the calling thread — and every per-lane side effect
-// (signal updates, diagnostics, stop requests, stat counts) is buffered in
-// a per-lane context and merged in ascending lane order, so observable
-// results are independent of worker timing. lanes=1 is exactly the
-// sequential path.
+// Evaluation is sequential; DESIGN.md §13 records why.
 #pragma once
 
 #include <chrono>
@@ -49,7 +41,6 @@
 
 namespace rtlsim {
 
-class LanePool;
 class Process;
 class Scheduler;
 class SignalBase;
@@ -62,24 +53,6 @@ struct Diag {
     std::string source;
     std::string message;
 };
-
-namespace detail {
-
-/// Per-lane evaluate context: the lane's delta queue plus buffers for
-/// every side effect a process body may produce. Merged into the
-/// scheduler's global state in ascending lane order after the lanes join,
-/// which makes the merged order independent of worker timing.
-struct LaneCtx {
-    Scheduler* sch = nullptr;
-    std::vector<Process*> queue;
-    std::vector<std::uint32_t> updates;
-    std::vector<Diag> diags;
-    std::uint64_t dropped_diags = 0;
-    std::vector<std::string> stops;
-    std::uint64_t invocations = 0;
-};
-
-}  // namespace detail
 
 /// Which transitions of a signal trigger a sensitive process.
 enum class Edge : std::uint8_t {
@@ -100,8 +73,7 @@ public:
     Process& operator=(const Process&) = delete;
 
     /// Queue this process to run in the next evaluate phase (idempotent
-    /// within a delta). Elaboration/sequential contexts only — a process
-    /// body must never call this from a parallel evaluate phase.
+    /// within a delta).
     void notify();
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -113,9 +85,7 @@ public:
     /// a committed change on an Edge::Wake signal or an explicit wake().
     void gate() noexcept { gated_ = true; }
     /// Reopen the gate. A process not yet evaluated in the current delta
-    /// still runs in it; otherwise it runs at its next trigger. From a
-    /// sequential context or a body on the process's own lane only
-    /// (DESIGN.md §13 partition rule).
+    /// still runs in it; otherwise it runs at its next trigger.
     void wake() noexcept { gated_ = false; }
     [[nodiscard]] bool gated() const noexcept { return gated_; }
     /// Triggers swallowed while gated: what invocations() would have added.
@@ -126,9 +96,6 @@ public:
     /// scheduler's lifetime). Indexes the scheduler's flat scheduled-flag
     /// array.
     [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
-
-    /// Event lane this process evaluates on (see Scheduler lanes).
-    [[nodiscard]] std::uint16_t lane() const noexcept { return lane_; }
 
     /// Accumulated wall-clock self time; only meaningful when the scheduler
     /// has profiling enabled. Used by the overhead experiment (E3).
@@ -159,7 +126,6 @@ private:
     std::string name_;
     std::function<void()> fn_;
     std::uint32_t index_ = 0;
-    std::uint16_t lane_ = 0;
     bool gated_ = false;
     std::uint64_t invocations_ = 0;
     std::uint64_t skipped_ = 0;
@@ -238,8 +204,7 @@ private:
 /// struct-of-arrays signal store + diagnostics.
 class Scheduler {
 public:
-    Scheduler();
-    ~Scheduler();
+    Scheduler() = default;
 
     Scheduler(const Scheduler&) = delete;
     Scheduler& operator=(const Scheduler&) = delete;
@@ -292,30 +257,12 @@ public:
     void run();
 
     /// Request the simulation to stop at the end of the current timestep;
-    /// used by watchdogs and fatal checkers ($finish equivalent). Callable
-    /// from process bodies on any lane: during a parallel evaluate phase
-    /// the request is buffered per lane and applied in ascending lane
-    /// order, so the recorded reason is lane-count deterministic.
+    /// used by watchdogs and fatal checkers ($finish equivalent). The first
+    /// request's reason is kept.
     void request_stop(const std::string& reason);
 
     [[nodiscard]] bool stop_requested() const noexcept { return stop_requested_; }
     [[nodiscard]] const std::string& stop_reason() const noexcept { return stop_reason_; }
-
-    // --- event lanes ------------------------------------------------------
-    /// Partition evaluation into `n` event lanes (n >= 1; 1 = sequential,
-    /// the default). Call once after construction, before processes are
-    /// assigned lanes. Creates a LanePool with n-1 worker threads for
-    /// n > 1.
-    void configure_lanes(unsigned n);
-
-    [[nodiscard]] unsigned lane_count() const noexcept { return lane_count_; }
-
-    /// Assign a process to an event lane (clamped modulo lane_count()).
-    /// Processes sharing state through anything but committed signal reads
-    /// must share a lane; see DESIGN.md §13 for the partitioning rules.
-    void set_process_lane(Process& p, std::uint16_t lane) {
-        p.lane_ = static_cast<std::uint16_t>(lane % lane_count_);
-    }
 
     /// The struct-of-arrays value store backing every Signal<T>.
     [[nodiscard]] SignalStore& signal_store() noexcept { return store_; }
@@ -325,9 +272,7 @@ public:
 
     // --- diagnostics -----------------------------------------------------
     /// Record a checker/monitor finding. Simulation continues; fatal
-    /// conditions should also call request_stop(). Lane-safe: reports from
-    /// a parallel evaluate phase are buffered per lane and merged in
-    /// ascending lane order.
+    /// conditions should also call request_stop().
     void report(std::string source, std::string message);
 
     [[nodiscard]] const std::vector<Diag>& diagnostics() const noexcept {
@@ -360,13 +305,9 @@ public:
 
     // --- checkpoint (orchestrated by src/ckpt/) --------------------------
     /// True when the kernel is at a checkpointable quiescent point: no
-    /// runnable process, no pending signal update, no in-flight
+    /// runnable process, no pending signal update, and no in-flight
     /// schedule_at() closure (closures cannot be serialized; the recurring
-    /// event sources — clocks, resets — re-enter the wheel on restore),
-    /// and no buffered per-lane side effects (always true outside
-    /// settle()). Lane state is deliberately *not* part of a snapshot:
-    /// the lane partition is elaboration-time configuration, so snapshot
-    /// bytes are identical at every lane count.
+    /// event sources — clocks, resets — re-enter the wheel on restore).
     [[nodiscard]] bool ckpt_quiescent() const;
 
     /// Serialize the kernel core: sim time, stop state, stats, diagnostics,
@@ -410,12 +351,6 @@ private:
         std::function<void()> fn;
     };
 
-    using LaneCtx = detail::LaneCtx;
-
-    /// Deltas narrower than this run inline even with lanes configured:
-    /// a one- or two-process ripple never amortizes a fork/join.
-    static constexpr std::size_t kMinParallelDelta = 4;
-
     void notify_process(Process* p, std::uint32_t idx) {
         std::uint8_t& f = sched_flags_[idx];
         if (f == 0) {
@@ -430,9 +365,6 @@ private:
     }
     void register_signal(SignalBase* s) { signals_.push_back(s); }
     void unregister_signal(SignalBase* s);
-    /// Route a dirty-signal reference to the current lane buffer (parallel
-    /// evaluate) or the global dirty list (sequential contexts).
-    void request_update_ref(std::uint32_t ref);
     /// Commit one dirty signal from the store and fan out the change.
     /// Returns true when the committed value changed.
     bool commit_and_notify(std::uint32_t ref);
@@ -445,10 +377,6 @@ private:
 
     /// Run delta cycles until no process is runnable and no update pending.
     void settle();
-    /// Evaluate one delta's runnable set across lanes (parallel when wide
-    /// enough), then merge per-lane effects in ascending lane order.
-    void run_delta_lanes();
-    void run_lane(LaneCtx& lane);
 
     Time now_ = 0;
     bool stop_requested_ = false;
@@ -471,12 +399,6 @@ private:
     /// Flat scheduled flags indexed by Process::index(): the fan-out hot
     /// loop tests/sets one dense byte instead of touching each Process.
     std::vector<std::uint8_t> sched_flags_;
-
-    unsigned lane_count_ = 1;
-    std::vector<LaneCtx> lanes_;
-    std::vector<LaneCtx*> active_lanes_;
-    std::unique_ptr<LanePool> pool_;
-    std::function<void(unsigned)> lane_runner_;
 
     std::vector<Process*> procs_;
     std::vector<SignalBase*> signals_;

@@ -12,7 +12,7 @@
 //
 // All region FSMs advance in strict region-index order on each clock and
 // share one DCR chain (a region stalls while the chain is busy), so a run
-// is bit-reproducible at any worker/lane count. Plan order is enforced at
+// is bit-reproducible at any worker count. Plan order is enforced at
 // the ICAP: a region may only open its reconfiguration once every earlier
 // plan entry has submitted its session, making the arbiter grant order
 // equal the plan order.

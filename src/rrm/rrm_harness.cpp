@@ -228,39 +228,42 @@ bool RrmHarness::restore(std::istream& is, std::string* error) {
         return false;
     };
     ckpt::Loader loader;
-    if (!loader.load(is, cfg.config_hash())) {
-        return fail("manifest/config-hash mismatch");
-    }
-    const auto section = [&](const char* name, auto&& target) {
+    if (!loader.load(is, cfg.config_hash())) return fail(loader.error());
+    const auto section = [&](const std::string& name, auto&& target) {
         rtlsim::SnapReader r = loader.reader(name);
         return target.ckpt_restore(r);
     };
+    const auto corrupt = [&](const std::string& name) {
+        return fail(name + " section corrupt");
+    };
     {
         rtlsim::SnapReader r = loader.reader("kernel");
-        if (!sch.ckpt_restore(r)) return fail("kernel");
+        if (!sch.ckpt_restore(r)) return corrupt("kernel");
     }
-    if (!section("clock", clk)) return fail("clock");
-    if (!section("reset", rst)) return fail("reset");
-    if (!section("memory", mem)) return fail("memory");
-    if (!section("plb", plb)) return fail("plb");
-    if (!section("dcr", dcr)) return fail("dcr");
+    if (!section("clock", clk)) return corrupt("clock");
+    if (!section("reset", rst)) return corrupt("reset");
+    if (!section("memory", mem)) return corrupt("memory");
+    if (!section("plb", plb)) return corrupt("plb");
+    if (!section("dcr", dcr)) return corrupt("dcr");
     for (unsigned r = 0; r < regions_.size(); ++r) {
         const std::string name = 'r' + std::to_string(r) + ".block";
-        if (!section(name.c_str(), *regions_[r])) return fail(name);
+        if (!section(name, *regions_[r])) return corrupt(name);
     }
-    if (!section("portal", portal)) return fail("portal");
-    if (!section("icap", icap)) return fail("icap");
+    if (!section("portal", portal)) return corrupt("portal");
+    if (!section("icap", icap)) return corrupt("icap");
     std::vector<RegionSnapshot> summary;
     {
         rtlsim::SnapReader r = loader.reader("rrm");
-        if (!load_region_section(r, summary)) return fail("rrm");
+        if (!load_region_section(r, summary)) return corrupt("rrm");
     }
-    if (!section("rrm_arb", arbiter)) return fail("rrm_arb");
-    if (!section("rrm_mgr", manager)) return fail("rrm_mgr");
-    if (!section("recorder", rec)) return fail("recorder");
+    if (!section("rrm_arb", arbiter)) return corrupt("rrm_arb");
+    if (!section("rrm_mgr", manager)) return corrupt("rrm_mgr");
+    if (!section("recorder", rec)) return corrupt("recorder");
     {
         rtlsim::SnapReader r = loader.reader("signals");
-        if (!sch.ckpt_restore_signals(r)) return fail("signals");
+        if (!sch.ckpt_restore_signals(r)) {
+            return fail("signal registry mismatch");
+        }
     }
     // The summary section must agree with the restored full state — this
     // keeps the decodable format honest against drift.

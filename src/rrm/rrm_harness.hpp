@@ -112,6 +112,8 @@ public:
     /// Full-state snapshot including the versioned "rrm" region-array
     /// section; save refuses at non-quiescent points (DCR token mid-ring).
     [[nodiscard]] bool save(std::ostream& os) const;
+    /// On failure `*error` says why, in System::restore's words: the
+    /// loader's diagnostic, or "<name> section corrupt".
     [[nodiscard]] bool restore(std::istream& is, std::string* error = nullptr);
 
     RrmConfig cfg;

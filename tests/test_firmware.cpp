@@ -2,7 +2,7 @@
 // the generated code must reflect the method/wait/fault knobs. The FwPool
 // suite pins the software-scheduled virtualization pool end to end: the
 // generated pool driver decides the engine order and the RegionManager's
-// schedule signature must match it exactly, at every lane count.
+// schedule signature must match it exactly.
 #include <gtest/gtest.h>
 
 #include "sys/firmware.hpp"
@@ -249,31 +249,6 @@ TEST(FwPool, PairedJobsAreDemandHits) {
     // Exactly the two '!' entries streamed a SimB through the arbiter.
     EXPECT_EQ(tb.sys.region_manager->sessions_submitted(0), 2u);
     EXPECT_EQ(tb.sys.region_manager->jobs_done(0), 4u);
-}
-
-TEST(FwPool, DeterministicAcrossLanes) {
-    // The pinned pool run must be bit-reproducible at every lane count
-    // (the kernel-invariance contract extends to the software pool).
-    std::string sig1;
-    rtlsim::Time end1 = 0;
-    std::uint32_t frames1 = 0;
-    for (unsigned lanes : {1u, 2u, 4u}) {
-        SystemConfig cfg = pool_cfg(4);
-        cfg.lanes = lanes;
-        Testbench tb(cfg);
-        const RunResult r = run_pool(tb);
-        EXPECT_TRUE(r.clean()) << "lanes=" << lanes << ": " << r.verdict();
-        if (lanes == 1) {
-            sig1 = tb.sys.region_manager->signature();
-            end1 = tb.sys.sch.now();
-            frames1 = r.frames_completed;
-        } else {
-            EXPECT_EQ(tb.sys.region_manager->signature(), sig1)
-                << "lanes=" << lanes;
-            EXPECT_EQ(tb.sys.sch.now(), end1) << "lanes=" << lanes;
-            EXPECT_EQ(r.frames_completed, frames1) << "lanes=" << lanes;
-        }
-    }
 }
 
 TEST(FwPool, SoftwarePoolFoldsIntoConfigHash) {

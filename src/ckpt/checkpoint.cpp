@@ -1,5 +1,7 @@
 #include "checkpoint.hpp"
 
+#include <utility>
+
 namespace autovision::ckpt {
 
 namespace {
@@ -112,6 +114,62 @@ std::vector<Loader::SectionInfo> Loader::sections() const {
         out.push_back({name, payload.size()});
     }
     return out;
+}
+
+// --------------------------------------------------------------- Sections
+
+Sections::Sections(rtlsim::Scheduler& sch) : sch_(sch) { add("kernel", sch); }
+
+void Sections::add(std::string name, SaveFn save, RestoreFn restore) {
+    parts_.push_back({std::move(name), std::move(save), std::move(restore)});
+}
+
+void Sections::check(std::string diagnostic, std::function<bool()> holds) {
+    checks_.push_back({std::move(diagnostic), std::move(holds)});
+}
+
+bool Sections::save(std::ostream& os, std::uint64_t config_hash) const {
+    if (!sch_.ckpt_quiescent()) return false;
+    Saver saver(Manifest{kFormatVersion, config_hash, sch_.now()});
+    for (const Part& p : parts_) p.save(saver.section(p.name));
+    // Signals last: every part has finalized its side of the state.
+    sch_.ckpt_save_signals(saver.section("signals"));
+    return saver.write_to(os);
+}
+
+bool Sections::restore(std::istream& is, std::uint64_t config_hash,
+                       std::string* error) {
+    const auto fail = [error](std::string m) {
+        if (error != nullptr) *error = std::move(m);
+        return false;
+    };
+    Loader loader;
+    if (!loader.load(is, config_hash)) return fail(loader.error());
+
+    // The table must be exactly the registration: a missing, extra,
+    // reordered or duplicated section is refused before any state moves.
+    const std::vector<Loader::SectionInfo> table = loader.sections();
+    bool same = table.size() == parts_.size() + 1 &&
+                table.back().name == "signals";
+    for (std::size_t i = 0; same && i < parts_.size(); ++i) {
+        same = table[i].name == parts_[i].name;
+    }
+    if (!same) return fail("section table mismatch");
+
+    // Kernel first (clears the event queue and quiesces), then the event
+    // sources re-schedule themselves, then modules, then signal values.
+    for (Part& p : parts_) {
+        rtlsim::SnapReader r = loader.reader(p.name);
+        if (!p.restore(r)) return fail(p.name + " section corrupt");
+    }
+    rtlsim::SnapReader r = loader.reader("signals");
+    if (!sch_.ckpt_restore_signals(r)) {
+        return fail("signals section corrupt");
+    }
+    for (const Check& c : checks_) {
+        if (!c.holds()) return fail(c.diagnostic);
+    }
+    return true;
 }
 
 }  // namespace autovision::ckpt

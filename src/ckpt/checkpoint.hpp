@@ -10,25 +10,31 @@
 //   u32  section count
 //   per section: str name, u32 payload size, payload bytes
 //
-// Sections are written and restored in a fixed order chosen by the system
-// (kernel core, clocks, per-module POD, signals last), so two checkpoints
-// of identical simulator states are identical byte strings — the property
-// the warm-start consumers (closure campaign, diff oracle, shrinker) and
-// `tools/ckpt_inspect.py` rely on.
+// What a testbench's checkpoint contains is written down once, as its
+// Sections registration: the kernel core first, then each part in
+// elaboration order (clocks, per-module POD), then signals last. Save and
+// restore both walk that one list, so two checkpoints of identical
+// simulator states are identical byte strings — the property the
+// warm-start consumers (closure campaign, diff oracle, shrinker) and
+// `tools/ckpt_inspect.py` rely on — and a blob whose section table is not
+// exactly the registration is rejected before any state is touched.
 //
 // Restore model: state is restored into a *freshly elaborated* system of
 // the identical configuration (that is what the config hash pins). Pending
 // closures are never serialized — the recurring event sources re-enter the
 // wheel themselves and modules re-arm their DMA/DCR completion closures
-// from restored descriptor fields.
+// from restored descriptor fields. A restore that fails partway leaves the
+// system half-written: discard it.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "kernel/scheduler.hpp"
 #include "kernel/snapshot.hpp"
 
 namespace autovision::ckpt {
@@ -41,17 +47,6 @@ struct Manifest {
     std::uint32_t format_version = kFormatVersion;
     std::uint64_t config_hash = 0;
     std::uint64_t sim_time = 0;
-};
-
-/// Interface a module implements to participate in a checkpoint. The
-/// system's save/restore walks its modules in elaboration order; each
-/// serializes only non-signal state (signal values are captured wholesale
-/// by the scheduler's signal registry).
-class Checkpointable {
-public:
-    virtual ~Checkpointable() = default;
-    virtual void ckpt_save(rtlsim::SnapWriter& w) const = 0;
-    [[nodiscard]] virtual bool ckpt_restore(rtlsim::SnapReader& r) = 0;
 };
 
 /// Accumulates named sections and writes the final blob.
@@ -107,13 +102,58 @@ private:
     std::string error_;
 };
 
-/// Restore one named section into a Checkpointable-shaped target (anything
-/// with a ckpt_restore(SnapReader&)); the common step of a restore walk.
-template <typename T>
-[[nodiscard]] bool restore_section(Loader& loader, const std::string& name,
-                                   T& target) {
-    rtlsim::SnapReader r = loader.reader(name);
-    return target.ckpt_restore(r);
-}
+/// The one list of what a testbench's checkpoint contains. The testbench
+/// registers each checkpointed part once, in elaboration order; save() and
+/// restore() both walk that list, the kernel first and the signal registry
+/// last, so the two directions cannot drift apart.
+class Sections {
+public:
+    using SaveFn = std::function<void(rtlsim::SnapWriter&)>;
+    using RestoreFn = std::function<bool(rtlsim::SnapReader&)>;
+
+    /// Registers the kernel section ("kernel") first.
+    explicit Sections(rtlsim::Scheduler& sch);
+
+    /// Register a part with ckpt_save(SnapWriter&) const and
+    /// ckpt_restore(SnapReader&).
+    template <typename T>
+    void add(std::string name, T& part) {
+        add(std::move(name),
+            [&part](rtlsim::SnapWriter& w) { part.ckpt_save(w); },
+            [&part](rtlsim::SnapReader& r) { return part.ckpt_restore(r); });
+    }
+    void add(std::string name, SaveFn save, RestoreFn restore);
+
+    /// A consistency check run after every section has restored: restore
+    /// fails with `diagnostic` unless `holds()`.
+    void check(std::string diagnostic, std::function<bool()> holds);
+
+    /// Seal every section into a blob. Only legal at a quiescent point
+    /// (between run_until quanta); returns false otherwise.
+    [[nodiscard]] bool save(std::ostream& os,
+                            std::uint64_t config_hash) const;
+
+    /// Restore into the freshly elaborated testbench that registered this
+    /// list. On failure `*error` (when given) says why: the loader's
+    /// diagnostic, "section table mismatch" (nothing touched yet),
+    /// "<name> section corrupt", or a failed check's diagnostic.
+    [[nodiscard]] bool restore(std::istream& is, std::uint64_t config_hash,
+                               std::string* error = nullptr);
+
+private:
+    struct Part {
+        std::string name;
+        SaveFn save;
+        RestoreFn restore;
+    };
+    struct Check {
+        std::string diagnostic;
+        std::function<bool()> holds;
+    };
+
+    rtlsim::Scheduler& sch_;
+    std::vector<Part> parts_;
+    std::vector<Check> checks_;
+};
 
 }  // namespace autovision::ckpt

@@ -1,28 +1,14 @@
 #include "diff.hpp"
 
-#include <functional>
 #include <memory>
-#include <sstream>
+#include <optional>
 
-#include "bus/dcr.hpp"
-#include "ckpt/checkpoint.hpp"
-#include "bus/memory.hpp"
-#include "bus/plb.hpp"
-#include "engines/census_engine.hpp"
-#include "engines/engine_regs.hpp"
-#include "engines/matching_engine.hpp"
-#include "kernel/clock.hpp"
-#include "obs/recorder.hpp"
-#include "recon/isolation.hpp"
-#include "recon/rr_boundary.hpp"
-#include "resim/icap_artifact.hpp"
-#include "resim/portal.hpp"
+#include "scen/dpr_stack.hpp"
 #include "sys/address_map.hpp"
 #include "vm/virtual_mux.hpp"
 
 namespace autovision::diff {
 
-using rtlsim::Time;
 using rtlsim::Word;
 
 const char* to_string(DiffFault f) {
@@ -50,7 +36,7 @@ DiffFault fault_from_string(const std::string& s, bool* ok) {
 
 namespace {
 
-constexpr Time kClk = 10 * rtlsim::NS;
+using scen::DprStack;
 
 // Probe geometry: one 16x16 frame pair at fixed addresses, one output
 // window per probe index. Margin 4 keeps the ME grid non-empty at 16x16.
@@ -67,38 +53,35 @@ constexpr std::uint32_t kMeParam = 2u | (4u << 8) | (4u << 16);
     return module_id == 1 ? 0u : 1u;
 }
 
-/// The hardware both sides share: the minimal DPR stack of the stream
-/// harness plus the isolation module (so a correct ReSim-side driver can
-/// keep reconfiguration X off the bus).
-struct Fixture {
-    rtlsim::Scheduler sch;
-    rtlsim::Clock clk{sch, "clk", kClk};
-    rtlsim::ResetGen rst{sch, "rst", 3 * kClk};
-    Memory mem{Memory::Config{0, 1u << 20, 4}};
-    Plb plb{sch, "plb", clk.out, rst.out, Plb::Config{2, 16, 1u << 30}};
-    rtlsim::Signal<rtlsim::Logic> done_line{sch, "done_line",
-                                            rtlsim::Logic::L0};
-    DcrChain dcr{sch, "dcr", clk.out, rst.out};
-    Isolation iso{sch, "iso", sys::kDcrIso};
-    EngineRegs cie_regs{sch, "cie_regs", clk.out, 0x60};
-    EngineRegs me_regs{sch, "me_regs", clk.out, 0x68};
-    CensusEngine cie{sch, "cie", clk.out, rst.out, cie_regs};
-    MatchingEngine me{sch, "me", clk.out, rst.out, me_regs};
-    RrBoundary rr{sch, "rr", plb.master(1), done_line};
-    obs::EventRecorder rec;
+[[nodiscard]] bool cancelled(const DiffOptions& opt) {
+    return opt.cancel != nullptr && opt.cancel->load(std::memory_order_relaxed);
+}
 
-    Fixture() {
-        plb.attach_slave(mem);
-        dcr.attach(cie_regs);
-        dcr.attach(me_regs);
-        dcr.attach(iso);
-        rr.add_module(cie);
-        rr.add_module(me);
-        rr.set_isolation_signal(iso.isolate);
-        rec.set_enabled(true);
-        rr.set_observer(&rec);
-        dcr.set_observer(&rec);
-        iso.set_observer(&rec);
+/// One side of the pair: the minimal DPR stack with the isolation module
+/// (so a correct ReSim-side driver can keep reconfiguration X off the bus)
+/// and the probe frames in memory. The ReSim side adds the portal and ICAP
+/// artifact and configures the CIE once the recorder listens, so its
+/// recorded selects start with slot 0, as expected_selects does. The VM
+/// side adds the engine_signature mux instead.
+struct Side : DprStack {
+    std::unique_ptr<vm::VirtualMux> vmux;  ///< VM side only
+
+    Side(bool resim, DiffFault inject)
+        : DprStack(Parts{.isolation = true, .icap = resim}) {
+        listen();
+        if (resim) {
+            configure(inject == DiffFault::kWrongModuleMap);
+        } else {
+            vmux = std::make_unique<vm::VirtualMux>(sch, "vmux", rr,
+                                                    sys::kDcrSig);
+            vmux->map_module(1, 0);
+            vmux->map_module(2, 1);
+            dcr.attach(*vmux);
+            // A VM wrapper has both engines instantiated; a mis-steered
+            // 2-state mux drives idle levels, never X.
+            rr.set_unselected_policy(RrBoundary::UnselectedPolicy::kIdle);
+            sections.add("vmux", *vmux);
+        }
         load_probe_images();
     }
 
@@ -117,87 +100,8 @@ struct Fixture {
         mem.load_bytes(kProbeSrcB, img);
     }
 
-    void run_cycles(unsigned n) { sch.run_until(sch.now() + n * kClk); }
-
-    /// Serialize the boot state (reset settled, bus idle) plus the side's
-    /// own artifact sections via `extra`. Fills `out`; false = not at a
-    /// snapshottable point (left empty, the caller stays on the cold path).
-    [[nodiscard]] bool save_boot(
-        std::string& out, std::uint64_t hash,
-        const std::function<void(ckpt::Saver&)>& extra) const {
-        if (!sch.ckpt_quiescent() || dcr.busy()) return false;
-        ckpt::Saver saver(
-            ckpt::Manifest{ckpt::kFormatVersion, hash, sch.now()});
-        sch.ckpt_save(saver.section("kernel"));
-        clk.ckpt_save(saver.section("clock"));
-        rst.ckpt_save(saver.section("reset"));
-        mem.ckpt_save(saver.section("memory"));
-        plb.ckpt_save(saver.section("plb"));
-        dcr.ckpt_save(saver.section("dcr"));
-        iso.ckpt_save(saver.section("iso"));
-        cie_regs.ckpt_save(saver.section("cie_regs"));
-        me_regs.ckpt_save(saver.section("me_regs"));
-        cie.ckpt_save(saver.section("cie"));
-        me.ckpt_save(saver.section("me"));
-        rr.ckpt_save(saver.section("rr"));
-        rec.ckpt_save(saver.section("recorder"));
-        extra(saver);
-        sch.ckpt_save_signals(saver.section("signals"));
-        std::ostringstream os;
-        if (!saver.write_to(os)) return false;
-        out = os.str();
-        return true;
-    }
-
-    /// Restore a save_boot blob into this freshly elaborated fixture.
-    [[nodiscard]] bool restore_boot(
-        const std::string& blob, std::uint64_t hash,
-        const std::function<bool(ckpt::Loader&)>& extra) {
-        std::istringstream is(blob);
-        ckpt::Loader loader;
-        if (!loader.load(is, hash)) return false;
-        {
-            rtlsim::SnapReader r = loader.reader("kernel");
-            if (!sch.ckpt_restore(r)) return false;
-        }
-        if (!ckpt::restore_section(loader, "clock", clk)) return false;
-        if (!ckpt::restore_section(loader, "reset", rst)) return false;
-        if (!ckpt::restore_section(loader, "memory", mem)) return false;
-        if (!ckpt::restore_section(loader, "plb", plb)) return false;
-        if (!ckpt::restore_section(loader, "dcr", dcr)) return false;
-        if (!ckpt::restore_section(loader, "iso", iso)) return false;
-        if (!ckpt::restore_section(loader, "cie_regs", cie_regs)) return false;
-        if (!ckpt::restore_section(loader, "me_regs", me_regs)) return false;
-        if (!ckpt::restore_section(loader, "cie", cie)) return false;
-        if (!ckpt::restore_section(loader, "me", me)) return false;
-        if (!ckpt::restore_section(loader, "rr", rr)) return false;
-        if (!ckpt::restore_section(loader, "recorder", rec)) return false;
-        if (!extra(loader)) return false;
-        {
-            rtlsim::SnapReader r = loader.reader("signals");
-            if (!sch.ckpt_restore_signals(r)) return false;
-        }
-        return true;
-    }
-
-    [[nodiscard]] bool cancelled(const DiffOptions& opt) const {
-        return opt.cancel != nullptr &&
-               opt.cancel->load(std::memory_order_relaxed);
-    }
-
     void wait_dcr() {
         for (unsigned i = 0; i < 64 && dcr.busy(); ++i) run_cycles(1);
-    }
-
-    /// One DCR transaction per session, identical on both sides (the VM
-    /// side has no payload window to overlap it with, so it issues the
-    /// transaction up front).
-    void issue_session_traffic(const scen::StreamSession& ss) {
-        if (ss.dcr == scen::DcrTraffic::kRead) {
-            dcr.start_read(0x60 + EngineRegs::kStatus, [](Word) {});
-        } else {
-            dcr.start_write(0x60 + EngineRegs::kSrc, Word{0x1234});
-        }
     }
 
     /// Program, start and wait out one engine job, then hash the output
@@ -264,54 +168,54 @@ struct Fixture {
     }
 };
 
+/// Elaborate one side into `tb`, warm-started from its boot-cache entry
+/// when there is one; returns whether it started warm. A cold side boots
+/// (elaborate + reset settle) and refills the cache entry.
+bool start_side(std::optional<Side>& tb, bool resim, const DiffOptions& opt) {
+    // The injected fault is folded into the blob identity: a boot saved
+    // with the signature initialised must never restore into a
+    // kVmNoSigInit elaboration (and vice versa). ReSim v2: the recorder
+    // section follows the ICAP artifact's, in stack order.
+    const std::uint64_t hash = rtlsim::snap_hash64_u64(
+        static_cast<std::uint64_t>(opt.inject),
+        rtlsim::snap_hash64(resim ? "autovision.difftb.resim.v2"
+                                  : "autovision.difftb.vm.v1"));
+    std::string* cached = nullptr;
+    if (opt.boot != nullptr) {
+        cached = &(resim ? opt.boot->resim
+                         : opt.boot->vm)[static_cast<std::size_t>(opt.inject)];
+    }
+    tb.emplace(resim, opt.inject);
+    if (cached != nullptr && !cached->empty()) {
+        if (tb->restore(*cached, hash)) return true;
+        // A restore that fails partway leaves the side half-written.
+        tb.emplace(resim, opt.inject);
+    }
+    if (!resim && opt.inject != DiffFault::kVmNoSigInit) {
+        // The boot firmware's engine_signature initialisation — exactly
+        // the write bug.hw.2 forgets. Like the system's power-on
+        // configuration it happens at elaboration, before the first
+        // delta cycle.
+        tb->vmux->dcr_write(sys::kDcrSig, Word{1});
+    }
+    tb->boot();
+    if (cached != nullptr) *cached = tb->save(hash);
+    return false;
+}
+
 }  // namespace
 
 SideRun run_vm_side(const scen::Scenario& s, const DiffOptions& opt) {
-    Fixture f;
-    vm::VirtualMux vmux{f.sch, "vmux", f.rr, sys::kDcrSig};
-    vmux.map_module(1, 0);
-    vmux.map_module(2, 1);
-    f.dcr.attach(vmux);
-    // A VM wrapper has both engines instantiated; a mis-steered 2-state mux
-    // drives idle levels, never X.
-    f.rr.set_unselected_policy(RrBoundary::UnselectedPolicy::kIdle);
-
-    // The injected fault is folded into the blob identity: a boot saved
-    // with the signature initialised must never restore into a
-    // kVmNoSigInit elaboration (and vice versa).
-    const std::uint64_t hash = rtlsim::snap_hash64_u64(
-        static_cast<std::uint64_t>(opt.inject),
-        rtlsim::snap_hash64("autovision.difftb.vm.v1"));
-    std::string* cached =
-        opt.boot != nullptr
-            ? &opt.boot->vm[static_cast<std::size_t>(opt.inject)]
-            : nullptr;
-    const auto restore_vmux = [&](ckpt::Loader& l) {
-        return ckpt::restore_section(l, "vmux", vmux);
-    };
-    if (cached == nullptr || cached->empty() ||
-        !f.restore_boot(*cached, hash, restore_vmux)) {
-        if (opt.inject != DiffFault::kVmNoSigInit) {
-            // The boot firmware's engine_signature initialisation — exactly
-            // the write bug.hw.2 forgets. Like the system's power-on
-            // configuration it happens at elaboration, before the first
-            // delta cycle.
-            vmux.dcr_write(sys::kDcrSig, Word{1});
-        }
-        f.sch.run_until(8 * kClk);  // reset settles
-        if (cached != nullptr) {
-            (void)f.save_boot(*cached, hash, [&](ckpt::Saver& sv) {
-                vmux.ckpt_save(sv.section("vmux"));
-            });
-        }
-    }
-
     SideRun run;
+    std::optional<Side> tb;
+    run.warm_started = start_side(tb, /*resim=*/false, opt);
+    Side& f = *tb;
+
     run.probes.push_back(f.probe(1, 0, opt));
     std::uint8_t resident = 1;
     unsigned idx = 1;
     for (const scen::StreamSession& ss : s.sessions) {
-        if (f.cancelled(opt)) {
+        if (cancelled(opt)) {
             run.cancelled = true;
             break;
         }
@@ -323,93 +227,52 @@ SideRun run_vm_side(const scen::Scenario& s, const DiffOptions& opt) {
             f.wait_dcr();
             resident = ss.module_id;
         }
+        // The session's DCR transaction, issued up front: the VM side has
+        // no payload window to overlap it with.
         if (ss.dcr != scen::DcrTraffic::kNone) {
-            f.issue_session_traffic(ss);
+            f.issue_traffic(ss);
             f.wait_dcr();
         }
         f.run_cycles(16);
         run.probes.push_back(f.probe(resident, idx, opt));
         ++idx;
     }
-    run.swaps = vmux.swaps();
+    run.swaps = f.vmux->swaps();
     f.finish(run, opt);
     return run;
 }
 
 SideRun run_resim_side(const scen::Scenario& s, const DiffOptions& opt) {
-    Fixture f;
-    resim::ExtendedPortal portal{f.sch, "portal"};
-    resim::IcapArtifact icap{f.sch, "icap", portal};
-    const bool swap_map = opt.inject == DiffFault::kWrongModuleMap;
-    portal.map_module(1, 1, f.rr, swap_map ? 1u : 0u);
-    portal.map_module(1, 2, f.rr, swap_map ? 0u : 1u);
-    portal.set_observer(&f.rec);
-    icap.set_observer(&f.rec);
-
-    // Power-on full configuration loads the CIE — at elaboration, before
-    // the first delta cycle, or the unconfigured region (all-X under ReSim)
-    // would drive X onto the PLB during reset settle.
-    portal.initial_configuration(1, 1);
-
-    const std::uint64_t hash = rtlsim::snap_hash64_u64(
-        static_cast<std::uint64_t>(opt.inject),
-        rtlsim::snap_hash64("autovision.difftb.resim.v1"));
-    std::string* cached =
-        opt.boot != nullptr
-            ? &opt.boot->resim[static_cast<std::size_t>(opt.inject)]
-            : nullptr;
-    const auto restore_artifacts = [&](ckpt::Loader& l) {
-        return ckpt::restore_section(l, "portal", portal) &&
-               ckpt::restore_section(l, "icap", icap);
-    };
-    if (cached == nullptr || cached->empty() ||
-        !f.restore_boot(*cached, hash, restore_artifacts)) {
-        f.sch.run_until(8 * kClk);  // reset settles
-        if (cached != nullptr) {
-            (void)f.save_boot(*cached, hash, [&](ckpt::Saver& sv) {
-                portal.ckpt_save(sv.section("portal"));
-                icap.ckpt_save(sv.section("icap"));
-            });
-        }
-    }
-
     SideRun run;
+    std::optional<Side> tb;
+    run.warm_started = start_side(tb, /*resim=*/true, opt);
+    Side& f = *tb;
+
     run.probes.push_back(f.probe(1, 0, opt));
     std::uint8_t resident = 1;
     unsigned idx = 1;
     const bool drive_iso = opt.inject != DiffFault::kIsolationMissing;
     for (const scen::StreamSession& ss : s.sessions) {
-        if (f.cancelled(opt)) {
+        if (cancelled(opt)) {
             run.cancelled = true;
             break;
         }
         // The correct driver isolates the region across the bitstream
         // transfer; skipping these two writes is bug.dpr.1.
-        if (drive_iso) f.iso.dcr_write(sys::kDcrIso, Word{1});
-        const std::vector<Word> words = ss.words();
-        bool traffic_pending = ss.dcr != scen::DcrTraffic::kNone;
-        for (const Word& w : words) {
-            if (f.cancelled(opt)) break;
-            icap.icap_write(w);
-            if (traffic_pending && icap.payload_pending() && !f.dcr.busy()) {
-                traffic_pending = false;
-                f.issue_session_traffic(ss);
-            }
-            f.run_cycles(ss.word_gap);
-        }
-        f.run_cycles(16);  // in-flight DCR token and boundary settle
+        if (drive_iso) f.iso->dcr_write(sys::kDcrIso, Word{1});
+        f.play(ss, opt.cancel);
         if (drive_iso) {
-            f.iso.dcr_write(sys::kDcrIso, Word{0});
+            f.iso->dcr_write(sys::kDcrIso, Word{0});
             f.run_cycles(2);
         }
         if (scen::swap_expected(ss.corrupt)) resident = ss.module_id;
         run.probes.push_back(f.probe(resident, idx, opt));
         ++idx;
     }
-    run.swaps = portal.reconfigurations();
-    run.aborts = portal.aborts();
-    run.captures = portal.captures();
-    run.restores = portal.restores();
+    run.swaps = f.portal->reconfigurations();
+    run.aborts = f.portal->aborts();
+    run.captures = f.portal->captures();
+    run.restores = f.portal->restores();
     f.finish(run, opt);
     return run;
 }

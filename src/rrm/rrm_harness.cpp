@@ -1,10 +1,8 @@
 #include "rrm_harness.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
-#include "ckpt/checkpoint.hpp"
 #include "kernel/prng.hpp"
 #include "kernel/snapshot.hpp"
 
@@ -100,6 +98,19 @@ RrmHarness::RrmHarness(const RrmConfig& c)
     dcr.set_observer(&rec);
     arbiter.set_observer(&rec);
     manager.set_observer(&rec);
+
+    ckpt_.add("clock", clk);
+    ckpt_.add("reset", rst);
+    ckpt_.add("memory", mem);
+    ckpt_.add("plb", plb);
+    ckpt_.add("dcr", dcr);
+    for (unsigned r = 0; r < regions_.size(); ++r) {
+        ckpt_.add('r' + std::to_string(r) + ".block", *regions_[r]);
+    }
+    ckpt_.add("portal", portal);
+    ckpt_.add("icap", icap);
+    add_pool_sections(ckpt_, regions_, manager, &arbiter);
+    ckpt_.add("recorder", rec);
 }
 
 void RrmHarness::boot() { sch.run_until(8 * kClk); }
@@ -178,99 +189,17 @@ RrmResult RrmHarness::collect() {
 }
 
 std::vector<RegionSnapshot> RrmHarness::region_snapshots() const {
-    std::vector<RegionSnapshot> out;
-    out.reserve(regions_.size());
-    for (unsigned r = 0; r < regions_.size(); ++r) {
-        const RegionBlock& reg = *regions_[r];
-        RegionSnapshot s;
-        s.index = static_cast<std::uint8_t>(r);
-        s.resident = manager.started() ? manager.resident(r)
-                                       : EngineKind::kNone;
-        s.busy = reg.regs.busy();
-        s.isolated = rtlsim::is1(reg.iso.isolate.read());
-        s.swaps = manager.started() ? manager.sessions_submitted(r) : 0;
-        s.jobs = manager.started() ? manager.jobs_done(r) : 0;
-        out.push_back(s);
-    }
-    return out;
+    return rrm::region_snapshots(regions_, manager);
 }
 
 bool RrmHarness::save(std::ostream& os) const {
     // Any delta-quiescent point works: the manager re-arms its in-flight
     // DCR completion on restore, and the engines re-arm their DMA bursts.
-    if (!sch.ckpt_quiescent()) return false;
-    ckpt::Saver saver(
-        ckpt::Manifest{ckpt::kFormatVersion, cfg.config_hash(), sch.now()});
-    sch.ckpt_save(saver.section("kernel"));
-    clk.ckpt_save(saver.section("clock"));
-    rst.ckpt_save(saver.section("reset"));
-    mem.ckpt_save(saver.section("memory"));
-    plb.ckpt_save(saver.section("plb"));
-    dcr.ckpt_save(saver.section("dcr"));
-    for (unsigned r = 0; r < regions_.size(); ++r) {
-        regions_[r]->ckpt_save(
-            saver.section('r' + std::to_string(r) + ".block"));
-    }
-    portal.ckpt_save(saver.section("portal"));
-    icap.ckpt_save(saver.section("icap"));
-    // The region-array trio: decodable summary + the full mutable state.
-    save_region_section(saver.section("rrm"), region_snapshots());
-    arbiter.ckpt_save(saver.section("rrm_arb"));
-    manager.ckpt_save(saver.section("rrm_mgr"));
-    rec.ckpt_save(saver.section("recorder"));
-    sch.ckpt_save_signals(saver.section("signals"));
-    return saver.write_to(os);
+    return ckpt_.save(os, cfg.config_hash());
 }
 
 bool RrmHarness::restore(std::istream& is, std::string* error) {
-    const auto fail = [error](const std::string& what) {
-        if (error != nullptr) *error = what;
-        return false;
-    };
-    ckpt::Loader loader;
-    if (!loader.load(is, cfg.config_hash())) return fail(loader.error());
-    const auto section = [&](const std::string& name, auto&& target) {
-        rtlsim::SnapReader r = loader.reader(name);
-        return target.ckpt_restore(r);
-    };
-    const auto corrupt = [&](const std::string& name) {
-        return fail(name + " section corrupt");
-    };
-    {
-        rtlsim::SnapReader r = loader.reader("kernel");
-        if (!sch.ckpt_restore(r)) return corrupt("kernel");
-    }
-    if (!section("clock", clk)) return corrupt("clock");
-    if (!section("reset", rst)) return corrupt("reset");
-    if (!section("memory", mem)) return corrupt("memory");
-    if (!section("plb", plb)) return corrupt("plb");
-    if (!section("dcr", dcr)) return corrupt("dcr");
-    for (unsigned r = 0; r < regions_.size(); ++r) {
-        const std::string name = 'r' + std::to_string(r) + ".block";
-        if (!section(name, *regions_[r])) return corrupt(name);
-    }
-    if (!section("portal", portal)) return corrupt("portal");
-    if (!section("icap", icap)) return corrupt("icap");
-    std::vector<RegionSnapshot> summary;
-    {
-        rtlsim::SnapReader r = loader.reader("rrm");
-        if (!load_region_section(r, summary)) return corrupt("rrm");
-    }
-    if (!section("rrm_arb", arbiter)) return corrupt("rrm_arb");
-    if (!section("rrm_mgr", manager)) return corrupt("rrm_mgr");
-    if (!section("recorder", rec)) return corrupt("recorder");
-    {
-        rtlsim::SnapReader r = loader.reader("signals");
-        if (!sch.ckpt_restore_signals(r)) {
-            return fail("signal registry mismatch");
-        }
-    }
-    // The summary section must agree with the restored full state — this
-    // keeps the decodable format honest against drift.
-    if (summary != region_snapshots()) {
-        return fail("rrm summary/state mismatch");
-    }
-    return true;
+    return ckpt_.restore(is, cfg.config_hash(), error);
 }
 
 RrmResult run_rrm_scenario(const RrmConfig& cfg) {

@@ -1,6 +1,6 @@
 // rrm: self-contained multi-region testbench.
 //
-// The virtualization analogue of scen's StreamTb: N regions, each with its
+// The virtualization analogue of scen's DprStack: N regions, each with its
 // own isolation module, boundary, shared EngineRegs block and the full
 // four-entry engine library instantiated behind the boundary mux; one
 // ExtendedPortal + ICAP artifact behind the ICAP arbiter; a RegionManager
@@ -19,6 +19,7 @@
 #include "bus/dcr.hpp"
 #include "bus/memory.hpp"
 #include "bus/plb.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "engine_library.hpp"
 #include "icap_arbiter.hpp"
 #include "kernel/clock.hpp"
@@ -110,10 +111,9 @@ public:
 
     // --- checkpoint ------------------------------------------------------
     /// Full-state snapshot including the versioned "rrm" region-array
-    /// section; save refuses at non-quiescent points (DCR token mid-ring).
+    /// section; save refuses at non-quiescent points.
     [[nodiscard]] bool save(std::ostream& os) const;
-    /// On failure `*error` says why, in System::restore's words: the
-    /// loader's diagnostic, or "<name> section corrupt".
+    /// On failure `*error` says why (see ckpt::Sections::restore).
     [[nodiscard]] bool restore(std::istream& is, std::string* error = nullptr);
 
     RrmConfig cfg;
@@ -131,6 +131,7 @@ public:
 
 private:
     std::vector<std::unique_ptr<RegionBlock>> regions_;
+    ckpt::Sections ckpt_{sch};
 };
 
 /// One-shot runner: elaborate, boot, execute the job mix, collect.

@@ -1,11 +1,12 @@
 // rrm: the versioned "rrm" checkpoint section — the per-region occupancy
-// array multi-region checkpoints carry.
+// array multi-region checkpoints carry — and the pool trio it opens.
 //
 // The section is a decodable *summary* (tools/ckpt_inspect.py prints it);
 // the full mutable state of the arbiter and manager travels in their own
-// sections ("rrm_arb", "rrm_mgr") next to it. Single-region configurations
-// write none of the three, so their checkpoints stay byte-identical to the
-// pre-virtualization format.
+// sections ("rrm_arb", "rrm_mgr") next to it. add_pool_sections registers
+// the three, for sys::System and RrmHarness alike. Single-region
+// configurations register none of them, so their checkpoints stay
+// byte-identical to the pre-virtualization format.
 //
 // Layout (all big-endian, via SnapWriter):
 //   u32 version (kRegionSectionVersion)
@@ -20,13 +21,19 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "ckpt/checkpoint.hpp"
 #include "engine_library.hpp"
 #include "kernel/snapshot.hpp"
 
 namespace autovision::rrm {
+
+class IcapArbiter;
+class RegionBlock;
+class RegionManager;
 
 inline constexpr std::uint32_t kRegionSectionVersion = 1;
 
@@ -75,5 +82,18 @@ inline void save_region_section(rtlsim::SnapWriter& w,
     }
     return r.ok_so_far() && out.size() == n;
 }
+
+/// The summary of a managed pool, one entry per block in manager order.
+[[nodiscard]] std::vector<RegionSnapshot> region_snapshots(
+    const std::vector<std::unique_ptr<RegionBlock>>& blocks,
+    const RegionManager& manager);
+
+/// Register the pool trio: the "rrm" summary, "rrm_arb" (when the pool
+/// has an arbiter) and "rrm_mgr", plus the post-restore check that the
+/// summary agrees with the restored state — which keeps the decodable
+/// format honest against drift.
+void add_pool_sections(ckpt::Sections& sections,
+                       const std::vector<std::unique_ptr<RegionBlock>>& blocks,
+                       RegionManager& manager, IcapArbiter* arbiter);
 
 }  // namespace autovision::rrm

@@ -1,29 +1,12 @@
 #include "stream_harness.hpp"
 
-#include <sstream>
-#include <utility>
+#include <optional>
 
-#include "bus/dcr.hpp"
-#include "bus/memory.hpp"
-#include "bus/plb.hpp"
-#include "ckpt/checkpoint.hpp"
-#include "engines/census_engine.hpp"
-#include "engines/engine_regs.hpp"
-#include "engines/matching_engine.hpp"
-#include "kernel/clock.hpp"
-#include "kernel/snapshot.hpp"
-#include "obs/recorder.hpp"
-#include "recon/rr_boundary.hpp"
-#include "resim/icap_artifact.hpp"
-#include "resim/portal.hpp"
+#include "dpr_stack.hpp"
 
 namespace autovision::scen {
 
 namespace {
-
-using rtlsim::Time;
-
-constexpr Time kClk = 10 * rtlsim::NS;
 
 /// Config hash pinning the stream testbench's (fixed) elaboration. The
 /// harness has no configuration knobs, so the hash is a version string:
@@ -32,170 +15,61 @@ constexpr Time kClk = 10 * rtlsim::NS;
 const std::uint64_t kStreamTbHash =
     rtlsim::snap_hash64("autovision.streamtb.v1");
 
-/// The minimal DPR testbench run_stream_scenario plays scenarios on,
-/// factored out so a boot snapshot (elaborate + reset settle) can be taken
-/// once and restored per job instead of re-simulating the prefix.
-struct StreamTb {
-    rtlsim::Scheduler sch;
-    rtlsim::Clock clk{sch, "clk", kClk};
-    rtlsim::ResetGen rst{sch, "rst", 3 * kClk};
-    Memory mem{Memory::Config{0, 1u << 20, 4}};
-    Plb plb{sch, "plb", clk.out, rst.out, Plb::Config{2, 16, 1u << 30}};
-    rtlsim::Signal<rtlsim::Logic> done_line{sch, "done_line",
-                                            rtlsim::Logic::L0};
-    DcrChain dcr{sch, "dcr", clk.out, rst.out};
-    EngineRegs cie_regs{sch, "cie_regs", clk.out, 0x60};
-    EngineRegs me_regs{sch, "me_regs", clk.out, 0x68};
-    CensusEngine cie{sch, "cie", clk.out, rst.out, cie_regs};
-    MatchingEngine me{sch, "me", clk.out, rst.out, me_regs};
-    RrBoundary rr{sch, "rr", plb.master(1), done_line};
-    resim::ExtendedPortal portal{sch, "portal"};
-    resim::IcapArtifact icap{sch, "icap", portal};
-    obs::EventRecorder rec;
-
-    StreamTb() {
-        plb.attach_slave(mem);
-        dcr.attach(cie_regs);
-        dcr.attach(me_regs);
-        rr.add_module(cie);
-        rr.add_module(me);
-        portal.map_module(1, 1, rr, 0);
-        portal.map_module(1, 2, rr, 1);
-        portal.initial_configuration(1, 1);
-        rec.set_enabled(true);
-        icap.set_observer(&rec);
-        portal.set_observer(&rec);
-        rr.set_observer(&rec);
-        dcr.set_observer(&rec);
-    }
-
-    void boot() { sch.run_until(8 * kClk); }  // reset settles
-
-    /// Snapshot at a quiescent, bus-idle point (the boot snapshot). The
-    /// harness never saves with a DCR token or DMA burst in flight, so no
-    /// closure re-arming is needed on restore.
-    [[nodiscard]] bool save(std::ostream& os) const {
-        if (!sch.ckpt_quiescent() || dcr.busy()) return false;
-        ckpt::Saver saver(
-            ckpt::Manifest{ckpt::kFormatVersion, kStreamTbHash, sch.now()});
-        sch.ckpt_save(saver.section("kernel"));
-        clk.ckpt_save(saver.section("clock"));
-        rst.ckpt_save(saver.section("reset"));
-        mem.ckpt_save(saver.section("memory"));
-        plb.ckpt_save(saver.section("plb"));
-        dcr.ckpt_save(saver.section("dcr"));
-        cie_regs.ckpt_save(saver.section("cie_regs"));
-        me_regs.ckpt_save(saver.section("me_regs"));
-        cie.ckpt_save(saver.section("cie"));
-        me.ckpt_save(saver.section("me"));
-        rr.ckpt_save(saver.section("rr"));
-        portal.ckpt_save(saver.section("portal"));
-        icap.ckpt_save(saver.section("icap"));
-        rec.ckpt_save(saver.section("recorder"));
-        sch.ckpt_save_signals(saver.section("signals"));
-        return saver.write_to(os);
-    }
-
-    [[nodiscard]] bool restore(const std::string& blob) {
-        std::istringstream is(blob);
-        ckpt::Loader loader;
-        if (!loader.load(is, kStreamTbHash)) return false;
-        const auto section = [&](const char* name, auto&& target) {
-            rtlsim::SnapReader r = loader.reader(name);
-            return target.ckpt_restore(r);
-        };
-        {
-            rtlsim::SnapReader r = loader.reader("kernel");
-            if (!sch.ckpt_restore(r)) return false;
-        }
-        if (!section("clock", clk)) return false;
-        if (!section("reset", rst)) return false;
-        if (!section("memory", mem)) return false;
-        if (!section("plb", plb)) return false;
-        if (!section("dcr", dcr)) return false;
-        if (!section("cie_regs", cie_regs)) return false;
-        if (!section("me_regs", me_regs)) return false;
-        if (!section("cie", cie)) return false;
-        if (!section("me", me)) return false;
-        if (!section("rr", rr)) return false;
-        if (!section("portal", portal)) return false;
-        if (!section("icap", icap)) return false;
-        if (!section("recorder", rec)) return false;
-        {
-            rtlsim::SnapReader r = loader.reader("signals");
-            if (!sch.ckpt_restore_signals(r)) return false;
-        }
-        return true;
-    }
-};
+/// The stream testbench: the stack with the portal and ICAP artifact, the
+/// harness itself as the controller. The CIE is configured before the
+/// recorder listens, so no power-on kSelect is recorded.
+void elaborate(std::optional<DprStack>& tb) {
+    tb.emplace(DprStack::Parts{.isolation = false, .icap = true});
+    tb->configure();
+    tb->listen();
+}
 
 }  // namespace
 
 std::string stream_boot_snapshot() {
-    StreamTb tb;
-    tb.boot();
-    std::ostringstream os;
-    if (!tb.save(os)) return {};
-    return os.str();
+    std::optional<DprStack> tb;
+    elaborate(tb);
+    tb->boot();
+    return tb->save(kStreamTbHash);
 }
 
 StreamResult run_stream_scenario(const Scenario& scenario,
                                  const std::atomic<bool>* cancel,
                                  const std::string* boot) {
-    StreamTb tb;
+    StreamResult res;
+    std::optional<DprStack> tb;
+    elaborate(tb);
     // Warm start: skip the shared elaborate-and-reset prefix by restoring
-    // the boot snapshot. A stale or corrupt blob falls back to the cold
-    // path (correctness first, speed second).
-    if (boot == nullptr || boot->empty() || !tb.restore(*boot)) {
-        tb.boot();
+    // the boot snapshot. A stale or corrupt blob can fail the restore
+    // partway, so the cold path boots a freshly elaborated testbench.
+    const bool has_boot = boot != nullptr && !boot->empty();
+    res.warm_started = has_boot && tb->restore(*boot, kStreamTbHash);
+    if (!res.warm_started) {
+        if (has_boot) elaborate(tb);
+        tb->boot();
     }
 
     for (const StreamSession& ss : scenario.sessions) {
-        const std::vector<rtlsim::Word> words = ss.words();
-        // One DCR transaction per session, launched once the payload window
-        // is open — the traffic the xwin.cross bins observe.
-        bool traffic_pending = ss.dcr != DcrTraffic::kNone;
-        for (const rtlsim::Word& w : words) {
-            if (cancel != nullptr &&
-                cancel->load(std::memory_order_relaxed)) {
-                break;
-            }
-            tb.icap.icap_write(w);
-            if (traffic_pending && tb.icap.payload_pending() &&
-                !tb.dcr.busy()) {
-                traffic_pending = false;
-                if (ss.dcr == DcrTraffic::kRead) {
-                    tb.dcr.start_read(0x60 + EngineRegs::kStatus,
-                                      [](rtlsim::Word) {});
-                } else {
-                    tb.dcr.start_write(0x60 + EngineRegs::kSrc,
-                                       rtlsim::Word{0x1234});
-                }
-            }
-            tb.sch.run_until(tb.sch.now() + ss.word_gap * kClk);
-        }
-        // Let any in-flight DCR token and boundary settle between sessions.
-        tb.sch.run_until(tb.sch.now() + 16 * kClk);
+        tb->play(ss, cancel);
         if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
             break;
         }
     }
 
-    StreamResult res;
-    res.swaps = tb.portal.reconfigurations();
-    res.aborts = tb.portal.aborts();
-    res.truncations = tb.icap.truncations();
-    res.captures = tb.portal.captures();
-    res.restores = tb.portal.restores();
-    res.diagnostics = tb.sch.diagnostics().size();
+    res.swaps = tb->portal->reconfigurations();
+    res.aborts = tb->portal->aborts();
+    res.truncations = tb->icap->truncations();
+    res.captures = tb->portal->captures();
+    res.restores = tb->portal->restores();
+    res.diagnostics = tb->sch.diagnostics().size();
     res.diagnostic_text.reserve(res.diagnostics);
-    for (const rtlsim::Diag& d : tb.sch.diagnostics()) {
+    for (const rtlsim::Diag& d : tb->sch.diagnostics()) {
         res.diagnostic_text.push_back(d.source + ": " + d.message);
     }
-    res.events = tb.rec.snapshot();
-    res.clk_period = kClk;
-    res.sim_time = tb.sch.now();
-    res.stats = tb.sch.stats;
+    res.events = tb->rec.snapshot();
+    res.clk_period = DprStack::kClk;
+    res.sim_time = tb->sch.now();
+    res.stats = tb->sch.stats;
     return res;
 }
 

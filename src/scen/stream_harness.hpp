@@ -1,11 +1,11 @@
 // scen: the stream-scenario harness.
 //
-// Plays a kStream scenario's SimB sessions word-by-word straight into an
-// ICAP artifact sitting on a minimal DPR testbench (region boundary, both
-// engines, portal, DCR chain — no CPU, no IcapCTRL: the harness *is* the
-// controller, which is what lets a scenario pace the transfer with an
-// arbitrary word gap and so sweep the error-injection window length).
-// Every obs event of the run is captured, ready for the coverage model.
+// Plays a kStream scenario's SimB sessions word-by-word straight into the
+// ICAP artifact of a DprStack (region boundary, both engines, portal, DCR
+// chain — no CPU, no IcapCTRL: the harness *is* the controller, which is
+// what lets a scenario pace the transfer with an arbitrary word gap and so
+// sweep the error-injection window length). Every obs event of the run is
+// captured, ready for the coverage model.
 #pragma once
 
 #include <atomic>
@@ -31,13 +31,15 @@ struct StreamResult {
     rtlsim::Time clk_period = 0;
     rtlsim::Time sim_time = 0;
     rtlsim::SimStats stats;
+    bool warm_started = false;  ///< the run forked from the boot blob
 };
 
 /// Run a kStream scenario to completion. `cancel` (optional) aborts the
 /// playback cooperatively between words. `boot` (optional) warm-starts the
 /// run from a stream_boot_snapshot() blob instead of re-simulating the
-/// elaborate-and-reset prefix; an unusable blob falls back to a cold boot,
-/// so the result is identical either way.
+/// elaborate-and-reset prefix. A blob that does not restore is dropped and
+/// the run boots a freshly elaborated testbench cold (warm_started false),
+/// giving exactly the result of a run without one.
 [[nodiscard]] StreamResult run_stream_scenario(
     const Scenario& scenario, const std::atomic<bool>* cancel = nullptr,
     const std::string* boot = nullptr);

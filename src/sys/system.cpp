@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "address_map.hpp"
-#include "ckpt/checkpoint.hpp"
 #include "resim/injectors.hpp"
 
 namespace autovision::sys {
@@ -268,6 +267,38 @@ OpticalFlowSystem::OpticalFlowSystem(SystemConfig cfg)
         build_firmware(firmware_config(cfg, simb_cie_words, simb_me_words));
     mem.load_words(firmware.origin, firmware.words);
     cpu.set_pc(firmware.entry());
+
+    // --- checkpoint sections, in elaboration order ----------------------------
+    ckpt_.add("clock", clk);
+    ckpt_.add("reset", rst);
+    ckpt_.add("memory", mem);
+    ckpt_.add("plb", plb);
+    ckpt_.add("dcr", dcr);
+    ckpt_.add("intc", intc);
+    ckpt_.add("iso", iso);
+    ckpt_.add("cie_regs", cie_regs);
+    ckpt_.add("me_regs", me_regs);
+    ckpt_.add("cie", cie);
+    ckpt_.add("me", me);
+    ckpt_.add("rr", rr);
+    if (portal) ckpt_.add("portal", *portal);
+    if (icap_artifact) ckpt_.add("icap", *icap_artifact);
+    if (vmux) ckpt_.add("vmux", *vmux);
+    // Virtualization pool (regions >= 2 only): absent sections keep the
+    // single-region blob byte-identical to the pre-pool format.
+    if (dcr_mgmt) ckpt_.add("dcr_mgmt", *dcr_mgmt);
+    for (std::size_t i = 0; i < region_blocks.size(); ++i) {
+        ckpt_.add("region" + std::to_string(i + 1), *region_blocks[i]);
+    }
+    if (region_manager) {
+        rrm::add_pool_sections(ckpt_, region_blocks, *region_manager,
+                               icap_arbiter.get());
+    }
+    if (pool_bridge) ckpt_.add("pool_bridge", *pool_bridge);
+    ckpt_.add("icapctrl", icapctrl);
+    ckpt_.add("video_in", video_in);
+    ckpt_.add("video_out", video_out);
+    ckpt_.add("cpu", cpu);
 }
 
 std::uint64_t OpticalFlowSystem::config_hash(const SystemConfig& cfg) {
@@ -324,151 +355,16 @@ std::uint64_t OpticalFlowSystem::config_hash(const SystemConfig& cfg) {
 }
 
 std::vector<rrm::RegionSnapshot> OpticalFlowSystem::region_snapshots() const {
-    std::vector<rrm::RegionSnapshot> out;
-    out.reserve(region_blocks.size());
-    for (unsigned i = 0; i < region_blocks.size(); ++i) {
-        const rrm::RegionBlock& blk = *region_blocks[i];
-        rrm::RegionSnapshot s;
-        s.index = blk.layout.region;
-        s.resident = region_manager->started() ? region_manager->resident(i)
-                                               : rrm::EngineKind::kNone;
-        s.busy = blk.regs.busy();
-        s.isolated = rtlsim::is1(blk.iso.isolate.read());
-        s.swaps = region_manager->started()
-                      ? region_manager->sessions_submitted(i)
-                      : 0;
-        s.jobs = region_manager->started() ? region_manager->jobs_done(i) : 0;
-        out.push_back(s);
-    }
-    return out;
+    if (!region_manager) return {};
+    return rrm::region_snapshots(region_blocks, *region_manager);
 }
 
 bool OpticalFlowSystem::save(std::ostream& os) const {
-    if (!sch.ckpt_quiescent()) return false;
-    ckpt::Saver saver(
-        ckpt::Manifest{ckpt::kFormatVersion, config_hash(), sch.now()});
-    // Section order mirrors member elaboration order; restore replays it.
-    sch.ckpt_save(saver.section("kernel"));
-    clk.ckpt_save(saver.section("clock"));
-    rst.ckpt_save(saver.section("reset"));
-    mem.ckpt_save(saver.section("memory"));
-    plb.ckpt_save(saver.section("plb"));
-    dcr.ckpt_save(saver.section("dcr"));
-    intc.ckpt_save(saver.section("intc"));
-    iso.ckpt_save(saver.section("iso"));
-    cie_regs.ckpt_save(saver.section("cie_regs"));
-    me_regs.ckpt_save(saver.section("me_regs"));
-    cie.ckpt_save(saver.section("cie"));
-    me.ckpt_save(saver.section("me"));
-    rr.ckpt_save(saver.section("rr"));
-    if (portal) portal->ckpt_save(saver.section("portal"));
-    if (icap_artifact) icap_artifact->ckpt_save(saver.section("icap"));
-    if (vmux) vmux->ckpt_save(saver.section("vmux"));
-    // Virtualization pool (regions >= 2 only): absent sections keep the
-    // single-region blob byte-identical to the pre-pool format.
-    if (dcr_mgmt) dcr_mgmt->ckpt_save(saver.section("dcr_mgmt"));
-    for (std::size_t i = 0; i < region_blocks.size(); ++i) {
-        region_blocks[i]->ckpt_save(
-            saver.section("region" + std::to_string(i + 1)));
-    }
-    if (region_manager) {
-        const auto snaps = region_snapshots();
-        rrm::save_region_section(saver.section("rrm"), snaps);
-        if (icap_arbiter) icap_arbiter->ckpt_save(saver.section("rrm_arb"));
-        region_manager->ckpt_save(saver.section("rrm_mgr"));
-        if (pool_bridge) {
-            pool_bridge->ckpt_save(saver.section("pool_bridge"));
-        }
-    }
-    icapctrl.ckpt_save(saver.section("icapctrl"));
-    video_in.ckpt_save(saver.section("video_in"));
-    video_out.ckpt_save(saver.section("video_out"));
-    cpu.ckpt_save(saver.section("cpu"));
-    // Signals last: every module has finalized its side of the state.
-    sch.ckpt_save_signals(saver.section("signals"));
-    return saver.write_to(os);
+    return ckpt_.save(os, config_hash());
 }
 
 bool OpticalFlowSystem::restore(std::istream& is, std::string* error) {
-    const auto fail = [error](const std::string& m) {
-        if (error != nullptr) *error = m;
-        return false;
-    };
-    ckpt::Loader loader;
-    if (!loader.load(is, config_hash())) return fail(loader.error());
-
-    const auto section = [&](const char* name, auto&& target) {
-        rtlsim::SnapReader r = loader.reader(name);
-        return target.ckpt_restore(r);
-    };
-    // Kernel first (clears the event queue and quiesces), then the event
-    // sources re-schedule themselves, then modules, then signal values.
-    {
-        rtlsim::SnapReader r = loader.reader("kernel");
-        if (!sch.ckpt_restore(r)) return fail("kernel section corrupt");
-    }
-    if (!section("clock", clk)) return fail("clock section corrupt");
-    if (!section("reset", rst)) return fail("reset section corrupt");
-    if (!section("memory", mem)) return fail("memory section corrupt");
-    if (!section("plb", plb)) return fail("plb section corrupt");
-    if (!section("dcr", dcr)) return fail("dcr section corrupt");
-    if (!section("intc", intc)) return fail("intc section corrupt");
-    if (!section("iso", iso)) return fail("iso section corrupt");
-    if (!section("cie_regs", cie_regs)) return fail("cie_regs section corrupt");
-    if (!section("me_regs", me_regs)) return fail("me_regs section corrupt");
-    if (!section("cie", cie)) return fail("cie section corrupt");
-    if (!section("me", me)) return fail("me section corrupt");
-    if (!section("rr", rr)) return fail("rr section corrupt");
-    if (portal && !section("portal", *portal)) {
-        return fail("portal section corrupt");
-    }
-    if (icap_artifact && !section("icap", *icap_artifact)) {
-        return fail("icap section corrupt");
-    }
-    if (vmux && !section("vmux", *vmux)) return fail("vmux section corrupt");
-    if (dcr_mgmt && !section("dcr_mgmt", *dcr_mgmt)) {
-        return fail("dcr_mgmt section corrupt");
-    }
-    for (std::size_t i = 0; i < region_blocks.size(); ++i) {
-        const std::string name = "region" + std::to_string(i + 1);
-        if (!section(name.c_str(), *region_blocks[i])) {
-            return fail(name + " section corrupt");
-        }
-    }
-    std::vector<rrm::RegionSnapshot> pool_summary;
-    if (region_manager) {
-        rtlsim::SnapReader r = loader.reader("rrm");
-        if (!rrm::load_region_section(r, pool_summary)) {
-            return fail("rrm section corrupt");
-        }
-        if (icap_arbiter && !section("rrm_arb", *icap_arbiter)) {
-            return fail("rrm_arb section corrupt");
-        }
-        if (!section("rrm_mgr", *region_manager)) {
-            return fail("rrm_mgr section corrupt");
-        }
-        if (pool_bridge && !section("pool_bridge", *pool_bridge)) {
-            return fail("pool_bridge section corrupt");
-        }
-    }
-    if (!section("icapctrl", icapctrl)) return fail("icapctrl section corrupt");
-    if (!section("video_in", video_in)) return fail("video_in section corrupt");
-    if (!section("video_out", video_out)) {
-        return fail("video_out section corrupt");
-    }
-    if (!section("cpu", cpu)) return fail("cpu section corrupt");
-    {
-        rtlsim::SnapReader r = loader.reader("signals");
-        if (!sch.ckpt_restore_signals(r)) {
-            return fail("signal registry mismatch");
-        }
-    }
-    // The decodable "rrm" summary must agree with the restored full state —
-    // keeps the region-array format honest against drift.
-    if (region_manager && pool_summary != region_snapshots()) {
-        return fail("rrm summary/state mismatch");
-    }
-    return true;
+    return ckpt_.restore(is, config_hash(), error);
 }
 
 void OpticalFlowSystem::attach_observer(obs::EventRecorder* rec) {

@@ -28,6 +28,7 @@
 #include "bus/intc.hpp"
 #include "bus/memory.hpp"
 #include "bus/plb.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "engines/census_engine.hpp"
 #include "engines/matching_engine.hpp"
 #include "firmware.hpp"
@@ -194,7 +195,8 @@ public:
 
     /// Restore from a blob into this freshly constructed system. The
     /// manifest's config hash must match this system's configuration.
-    /// On failure the system state is indeterminate — discard it.
+    /// On failure `*error` says why (see ckpt::Sections::restore) and the
+    /// system state is indeterminate — discard it.
     [[nodiscard]] bool restore(std::istream& is,
                                std::string* error = nullptr);
 
@@ -264,6 +266,10 @@ public:
 
     std::uint32_t simb_cie_words = 0;
     std::uint32_t simb_me_words = 0;
+
+private:
+    /// What a checkpoint contains, registered once at elaboration.
+    ckpt::Sections ckpt_{sch};
 };
 
 }  // namespace autovision::sys

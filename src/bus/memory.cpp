@@ -1,5 +1,7 @@
 #include "memory.hpp"
 
+#include <sys/mman.h>
+
 #include <array>
 #include <bit>
 #include <cassert>
@@ -8,21 +10,39 @@
 
 namespace autovision {
 
-// calloc's zero bytes must *be* the init image: Word{0} is all-zero bytes,
-// and a Word is a plain value the allocation can hold without construction.
+// The mapping's zero pages must *be* the init image: Word{0} is all-zero
+// bytes, and a Word is a plain value the mapping can hold without
+// construction.
 static_assert(std::is_trivially_copyable_v<Word> &&
               std::is_trivially_destructible_v<Word>);
 static_assert(std::bit_cast<std::array<unsigned char, sizeof(Word)>>(Word{0}) ==
               std::array<unsigned char, sizeof(Word)>{});
+
+namespace {
+
+// An explicit mapping, not calloc: once a free has raised glibc's dynamic
+// mmap threshold, calloc serves images up to 32 MiB from the heap and
+// clears every byte of them.
+void* map_zeroed(std::size_t bytes) {
+    if (bytes == 0) return nullptr;
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return p;
+}
+
+}  // namespace
+
+void Memory::Unmap::operator()(Word* p) const noexcept { ::munmap(p, bytes); }
 
 Memory::Memory() : Memory(Config{}) {}
 
 Memory::Memory(Config cfg)
     : cfg_(cfg),
       nwords_(cfg.size_bytes / 4),
-      words_(static_cast<Word*>(std::calloc(nwords_, sizeof(Word)))) {
+      words_(static_cast<Word*>(map_zeroed(nwords_ * sizeof(Word))),
+             Unmap{nwords_ * sizeof(Word)}) {
     assert(cfg_.size_bytes % 4 == 0);
-    if (!words_ && nwords_ != 0) throw std::bad_alloc();
     page_dirty_.assign((nwords_ + kPageWords - 1) / kPageWords, 0);
     page_gen_.assign(page_dirty_.size(), 0);
 }

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <span>
@@ -119,9 +118,9 @@ public:
     /// run only needs to re-fill the dirty pages it covers, because a clean
     /// page already holds Word{0}. An 8 MiB image whose firmware + frame
     /// buffers span a few dozen pages restores in microseconds instead of
-    /// a 2M-word sweep. Together with the OS-zeroed image (construction
-    /// and teardown cost what was touched) and the dirty-page save, no
-    /// step of a warm start pays for the configured size.
+    /// a 2M-word sweep. Together with the mapped image (construction and
+    /// teardown cost what was touched) and the dirty-page save, no step
+    /// of a warm start pays for the configured size.
     [[nodiscard]] bool ckpt_restore(rtlsim::SnapReader& r) {
         return rtlsim::snap_unrle_u64_runs(
             r, nwords_,
@@ -166,16 +165,18 @@ private:
         return (w.val_plane() << 32) | w.unk_plane();
     }
 
-    struct FreeWords {
-        void operator()(Word* p) const noexcept { std::free(p); }
+    struct Unmap {
+        std::size_t bytes = 0;
+        void operator()(Word* p) const noexcept;
     };
 
     Config cfg_;
     std::size_t nwords_;
-    /// The 4-state image, from calloc: a large image comes from a fresh
-    /// anonymous mapping whose pages the OS zeroes on first touch, so
-    /// construction and teardown cost the touched pages, not the size.
-    std::unique_ptr<Word[], FreeWords> words_;
+    /// The 4-state image, an anonymous private mapping of its own: the OS
+    /// zeroes each page on first touch, so construction and teardown cost
+    /// the touched pages, not the size, for every Memory in the process.
+    /// It has no allocator redzones; index() asserts every access.
+    std::unique_ptr<Word[], Unmap> words_;
     /// One byte per page; nonzero = some word in the page has been written
     /// since construction (its content may differ from the init Word{0}).
     /// Zero = the page holds Word{0} everywhere: save and restore skip it.

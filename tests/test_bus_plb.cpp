@@ -1,6 +1,9 @@
 // Unit tests for the PLB bus model, the DMA master helper and the memory.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <fstream>
 #include <vector>
 
 #include "bus/memory.hpp"
@@ -169,6 +172,32 @@ TEST(MemoryImage, SaveRestoreRoundTrips) {
             ASSERT_EQ(dst->peek(a), src.peek(a)) << a;
         }
     }
+}
+
+/// This process's resident set in bytes (Linux: /proc/self/statm).
+std::size_t resident_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    std::size_t size = 0;
+    std::size_t resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// Building a memory writes none of its image, and that holds for every
+// Memory in the process, not only the first. A calloc'd image did not:
+// freeing the first one raised glibc's mmap threshold past the 4 MiB a
+// 1 MiB image takes, so calloc served later ones from the heap and, once
+// it reused freed heap, cleared all 4 MiB of it.
+TEST(MemoryImage, EveryConstructionLeavesTheImageUntouched) {
+    const std::size_t before = resident_bytes();
+    std::size_t peak = before;
+    for (int i = 0; i < 4; ++i) {
+        const Memory mem(Memory::Config{0, 1u << 20, 4});
+        peak = std::max(peak, resident_bytes());
+    }
+    EXPECT_LT(peak, before + (1u << 20))
+        << "building a 4 MiB image 4 times grew the resident set by "
+        << (peak - before) << " bytes";
 }
 
 TEST(Plb, SingleBurstRead) {

@@ -6,9 +6,11 @@
 // Every suite name starts with "Obs" so the CI TSan job's gtest filter
 // picks the whole file up.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,6 +103,169 @@ TEST(ObsRecorder, ClearResets) {
     EXPECT_TRUE(rec.snapshot().empty());
     rec.record(2, EventKind::kSync, Source::kIcap);
     EXPECT_EQ(rec.size(), 1u);
+}
+
+/// This process's resident set in bytes (Linux: /proc/self/statm).
+std::size_t resident_bytes() {
+    std::ifstream statm("/proc/self/statm");
+    std::size_t size = 0;
+    std::size_t resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// Reserving the ring writes none of it: eight default recorders (1.5 MiB
+// of slots each) grow the resident set by a few pages, not by 12 MiB.
+TEST(ObsRecorder, ConstructionLeavesTheRingUntouched) {
+    const std::size_t before = resident_bytes();
+    std::vector<std::unique_ptr<EventRecorder>> recs;
+    for (int i = 0; i < 8; ++i) {
+        recs.push_back(std::make_unique<EventRecorder>());
+    }
+    const std::size_t after = resident_bytes();
+    EXPECT_LT(after, before + (1u << 20))
+        << "8 rings of 1.5 MiB each grew the resident set by "
+        << (after - before) << " bytes";
+    for (const auto& r : recs) EXPECT_TRUE(r->snapshot().empty());
+}
+
+// Event i of a test run: every field varies, and kinds and sources cycle
+// through every real value.
+void record_nth(EventRecorder& rec, std::uint64_t i) {
+    constexpr auto kKinds = static_cast<unsigned>(EventKind::kCount);
+    constexpr auto kSources = static_cast<unsigned>(Source::kCount);
+    rec.record(10 * i, static_cast<EventKind>(i % kKinds),
+               static_cast<Source>(i % kSources),
+               static_cast<std::uint32_t>(i), i * i,
+               static_cast<std::uint8_t>(i % 3));
+}
+
+std::vector<std::uint8_t> save(const EventRecorder& rec) {
+    rtlsim::SnapWriter w;
+    rec.ckpt_save(w);
+    return w.take();
+}
+
+bool restore(EventRecorder& rec, const std::vector<std::uint8_t>& blob) {
+    rtlsim::SnapReader r(blob);
+    return rec.ckpt_restore(r) && r.remaining() == 0;
+}
+
+void expect_same_events(const std::vector<Event>& got,
+                        const std::vector<Event>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(got[i].time, want[i].time);
+        EXPECT_EQ(got[i].kind, want[i].kind);
+        EXPECT_EQ(got[i].src, want[i].src);
+        EXPECT_EQ(got[i].region, want[i].region);
+        EXPECT_EQ(got[i].a, want[i].a);
+        EXPECT_EQ(got[i].b, want[i].b);
+    }
+}
+
+// Empty, partial, exactly full and wrapped rings, each restored into a
+// fresh recorder and into one that already holds other events (wrapped,
+// and disabled). The restored recorder must be indistinguishable from the
+// source, now and after more events.
+TEST(ObsRecorder, RestoreRoundTripsEveryFillLevel) {
+    constexpr std::size_t kCap = 8;
+    constexpr std::uint64_t kMore = 5;
+    for (const std::uint64_t fill : {0u, 3u, 8u, 13u}) {
+        for (const bool busy : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "fill " << fill << (busy ? ", busy" : ", fresh"));
+            EventRecorder src(kCap);
+            src.set_enabled(true);
+            for (std::uint64_t i = 0; i < fill; ++i) record_nth(src, i);
+            const std::vector<std::uint8_t> blob = save(src);
+
+            EventRecorder dst(kCap);
+            if (busy) {
+                dst.set_enabled(true);
+                for (std::uint64_t i = 100; i < 111; ++i) record_nth(dst, i);
+                dst.set_enabled(false);
+            }
+            ASSERT_TRUE(restore(dst, blob));
+            EXPECT_TRUE(dst.enabled());
+            EXPECT_EQ(dst.total(), src.total());
+            EXPECT_EQ(dst.dropped(), src.dropped());
+            expect_same_events(dst.snapshot(), src.snapshot());
+            EXPECT_EQ(save(dst), blob);
+
+            for (std::uint64_t i = fill; i < fill + kMore; ++i) {
+                record_nth(src, i);
+                record_nth(dst, i);
+            }
+            EXPECT_EQ(dst.total(), src.total());
+            EXPECT_EQ(dst.dropped(), src.dropped());
+            expect_same_events(dst.snapshot(), src.snapshot());
+            EXPECT_EQ(save(dst), save(src));
+        }
+    }
+}
+
+// A hand-built ring section: capacity, total, enabled, window count, then
+// `events` events of kind `kind` and source `src`.
+std::vector<std::uint8_t> ring_blob(std::uint64_t cap, std::uint64_t total,
+                                    std::uint64_t n, std::uint64_t events,
+                                    std::uint8_t kind, std::uint8_t src) {
+    rtlsim::SnapWriter w;
+    w.u64(cap);
+    w.u64(total);
+    w.bool8(true);
+    w.u64(n);
+    for (std::uint64_t i = 0; i < events; ++i) {
+        w.u64(i);
+        w.u8(kind);
+        w.u8(src);
+        w.u8(0);
+        w.u32(0);
+        w.u64(0);
+    }
+    return w.take();
+}
+
+// No save writes the kCount sentinels or a window shorter than
+// min(total, capacity); restoring either would make snapshot() and the
+// exports report "?" events nobody recorded.
+TEST(ObsRecorder, RestoreRefusesWhatNoSaveWrites) {
+    constexpr auto kSync = static_cast<std::uint8_t>(EventKind::kSync);
+    constexpr auto kIcap = static_cast<std::uint8_t>(Source::kIcap);
+    constexpr auto kNoKind = static_cast<std::uint8_t>(EventKind::kCount);
+    constexpr auto kNoSrc = static_cast<std::uint8_t>(Source::kCount);
+    {
+        EventRecorder rec(4);
+        ASSERT_TRUE(restore(rec, ring_blob(4, 3, 3, 3, kSync, kIcap)))
+            << "the well-formed control must restore";
+        EXPECT_EQ(rec.size(), 3u);
+    }
+    const struct {
+        const char* what;
+        std::vector<std::uint8_t> blob;
+    } bad[] = {
+        {"sentinel kind", ring_blob(4, 3, 3, 3, kNoKind, kIcap)},
+        {"sentinel source", ring_blob(4, 3, 3, 3, kSync, kNoSrc)},
+        {"kind past the sentinel", ring_blob(4, 3, 3, 3, kNoKind + 1u, kIcap)},
+        {"short window, not wrapped", ring_blob(4, 3, 2, 2, kSync, kIcap)},
+        {"short window, wrapped", ring_blob(4, 9, 3, 3, kSync, kIcap)},
+        {"empty window over events", ring_blob(4, 2, 0, 0, kSync, kIcap)},
+        {"window past total", ring_blob(4, 2, 3, 3, kSync, kIcap)},
+        {"window past capacity", ring_blob(4, 9, 5, 5, kSync, kIcap)},
+        {"capacity mismatch", ring_blob(8, 3, 3, 3, kSync, kIcap)},
+        {"truncated window", ring_blob(4, 3, 3, 2, kSync, kIcap)},
+    };
+    for (const auto& c : bad) {
+        SCOPED_TRACE(c.what);
+        EventRecorder rec(4);
+        rec.set_enabled(true);
+        record_nth(rec, 1);
+        EXPECT_FALSE(restore(rec, c.blob));
+        EXPECT_EQ(rec.total(), 0u) << "a refused restore leaves it empty";
+        EXPECT_FALSE(rec.enabled());
+        EXPECT_TRUE(rec.snapshot().empty());
+    }
 }
 
 // -------------------------------------------------------------- metrics

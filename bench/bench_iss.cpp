@@ -1,18 +1,15 @@
 // E15 — ISS execution rate: interpreter vs basic-block decode cache.
 //
-// Measures instructions per host second for the three CPU execution modes
+// Measures instructions per host second for the two CPU execution engines
 // on a bus-free compute kernel (the workload shape where the ISS hot path
 // dominates — every data access would serialize on the cycle-accurate PLB
-// in all three modes and mask the decode-path difference):
+// in both engines and mask the decode-path difference):
 //   * bm_iss_interp        — the retained reference interpreter
 //                            (fetch + decode + execute every posedge);
-//   * bm_iss_cached_cold   — the decode-cache engine, fresh cache every
-//                            iteration (decode cost included);
-//   * bm_iss_cached_warm   — the decode-cache engine with sleep windows
-//                            enabled: long bus-free stretches execute as
-//                            batched micro-op runs under a parked clock.
-// The tentpole acceptance bar is warm >= 3x interp in insns/sec; CI gates
-// the committed baseline rows through tools/bench_report.py.
+//   * bm_iss_cached_cold   — the decode-cache engine, one micro-op per
+//                            posedge, fresh cache every iteration (decode
+//                            cost included).
+// CI gates the committed baseline rows through tools/bench_compare.py.
 #include <benchmark/benchmark.h>
 
 #include "bus/dcr.hpp"
@@ -33,9 +30,7 @@ constexpr rtlsim::Time kClk = 10 * NS;
 
 /// ~850k dynamic instructions of register-only compute: a doubly nested
 /// loop over adds, shifts, rotates and compares. No loads/stores inside the
-/// loop, so the warm engine can open full-length sleep windows. Long enough
-/// that execution dominates testbench elaboration (the 8 MiB four-state
-/// memory image alone costs milliseconds to construct in a debug build).
+/// loop. Long enough that execution dominates testbench elaboration.
 const char* kWorkload = R"(
     .org 0x100
     _start: li r10, 0
@@ -67,30 +62,27 @@ struct IssTb {
     Intc intc{sch, "intc", clk.out, rst.out, 0x40};
     PpcCpu cpu;
 
-    IssTb(const Program& prog, PpcCpu::Config::Engine engine, bool sleep)
+    IssTb(const Program& prog, PpcCpu::Config::Engine engine)
         : cpu(sch, "cpu", clk.out, rst.out, plb.master(0), dcr, mem, intc.irq,
               PpcCpu::Config{prog.entry(), 5, engine}) {
         plb.attach_slave(mem);
         dcr.attach(intc);
         mem.load_words(prog.origin, prog.words);
-        if (sleep) cpu.enable_sleep(clk);
     }
 
     std::uint64_t run_to_halt() {
         while (!cpu.halted() && !sch.stop_requested()) {
             sch.run_until(sch.now() + 4096 * kClk);
         }
-        cpu.wake_now();
         return cpu.instructions();
     }
 };
 
-void run_engine(benchmark::State& state, PpcCpu::Config::Engine engine,
-                bool sleep) {
+void run_engine(benchmark::State& state, PpcCpu::Config::Engine engine) {
     const Program prog = assemble(kWorkload);
     std::uint64_t insns = 0;
     for (auto _ : state) {
-        IssTb tb(prog, engine, sleep);
+        IssTb tb(prog, engine);
         insns = tb.run_to_halt();
         if (tb.sch.stop_requested()) state.SkipWithError("run was not clean");
         benchmark::DoNotOptimize(insns);
@@ -101,19 +93,14 @@ void run_engine(benchmark::State& state, PpcCpu::Config::Engine engine,
 }
 
 void bm_iss_interp(benchmark::State& state) {
-    run_engine(state, PpcCpu::Config::Engine::kInterp, false);
+    run_engine(state, PpcCpu::Config::Engine::kInterp);
 }
 BENCHMARK(bm_iss_interp)->Unit(benchmark::kMillisecond);
 
 void bm_iss_cached_cold(benchmark::State& state) {
-    run_engine(state, PpcCpu::Config::Engine::kCached, false);
+    run_engine(state, PpcCpu::Config::Engine::kCached);
 }
 BENCHMARK(bm_iss_cached_cold)->Unit(benchmark::kMillisecond);
-
-void bm_iss_cached_warm(benchmark::State& state) {
-    run_engine(state, PpcCpu::Config::Engine::kCached, true);
-}
-BENCHMARK(bm_iss_cached_warm)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -60,7 +60,7 @@ Word Memory::plb_read(std::uint32_t addr) { return words_[index(addr)]; }
 
 void Memory::plb_write(std::uint32_t addr, Word w) {
     const std::size_t i = index(addr);
-    on_write(i, addr);
+    on_write(i);
     words_[i] = w;
 }
 
@@ -68,7 +68,7 @@ Word Memory::peek(std::uint32_t addr) const { return words_[index(addr)]; }
 
 void Memory::poke(std::uint32_t addr, Word w) {
     const std::size_t i = index(addr);
-    on_write(i, addr);
+    on_write(i);
     words_[i] = w;
 }
 
@@ -80,7 +80,7 @@ std::uint32_t Memory::peek_u32(std::uint32_t addr, bool* ok) const {
 
 void Memory::poke_u32(std::uint32_t addr, std::uint32_t v) {
     const std::size_t i = index(addr);
-    on_write(i, addr);
+    on_write(i);
     words_[i] = Word{v};
 }
 
@@ -95,7 +95,7 @@ std::uint8_t Memory::peek_u8(std::uint32_t addr, bool* ok) const {
 
 void Memory::poke_u8(std::uint32_t addr, std::uint8_t v) {
     const std::size_t i = index(addr & ~3u);
-    on_write(i, addr);
+    on_write(i);
     Word& w = words_[i];
     const unsigned shift = (3u - (addr & 3u)) * 8;
     const Word mask = Word{0xFFu} << shift;
@@ -114,7 +114,7 @@ std::uint16_t Memory::peek_u16(std::uint32_t addr, bool* ok) const {
 void Memory::poke_u16(std::uint32_t addr, std::uint16_t v) {
     assert((addr & 1u) == 0 && "halfword access must be aligned");
     const std::size_t i = index(addr & ~3u);
-    on_write(i, addr);
+    on_write(i);
     Word& w = words_[i];
     const unsigned shift = (addr & 2u) ? 0 : 16;
     const Word mask = Word{0xFFFFu} << shift;

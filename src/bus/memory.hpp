@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -79,19 +78,13 @@ public:
     /// when it moved (store-to-code detection without per-word shadow
     /// state). Checkpoint restore deliberately does NOT bump generations —
     /// the CPU flushes its cache wholesale on restore instead, so the
-    /// counters (and the optional observer) stay out of the snapshot bytes.
+    /// counters stay out of the snapshot bytes.
     static constexpr std::size_t kPageWords = 1024;  ///< 4 KiB pages
     [[nodiscard]] std::size_t page_of(std::uint32_t addr) const {
         return index(addr) / kPageWords;
     }
     [[nodiscard]] std::uint32_t page_gen(std::size_t page) const {
         return page_gen_[page];
-    }
-    /// Immediate notification per written word (byte address); used by the
-    /// sleeping ISS to wake on a DMA store into code it pre-executed. At
-    /// most one observer; null clears. Not serialized — harness-side state.
-    void set_write_observer(std::function<void(std::uint32_t)> obs) {
-        write_obs_ = std::move(obs);
     }
 
     // --- checkpoint ------------------------------------------------------
@@ -152,13 +145,11 @@ public:
 private:
     [[nodiscard]] std::size_t index(std::uint32_t addr) const;
 
-    /// Every mutating path funnels here: dirty bit, generation bump, and
-    /// the optional write observer. `i` is the word index, `addr` the byte
-    /// address as presented by the writer.
-    void on_write(std::size_t i, std::uint32_t addr) {
+    /// Every mutating path funnels here with the word index `i`: dirty
+    /// bit and generation bump of its page.
+    void on_write(std::size_t i) {
         page_dirty_[i / kPageWords] = 1;
         ++page_gen_[i / kPageWords];
-        if (write_obs_) write_obs_(addr);
     }
 
     [[nodiscard]] static std::uint64_t packed(Word w) {
@@ -183,7 +174,6 @@ private:
     std::vector<std::uint8_t> page_dirty_;
     /// Monotone per-page write counter (see the write-tracking section).
     std::vector<std::uint32_t> page_gen_;
-    std::function<void(std::uint32_t)> write_obs_;
 };
 
 }  // namespace autovision

@@ -1,7 +1,6 @@
 #include "cpu.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <cstdio>
 
 #include "ppc.hpp"
 
@@ -38,8 +37,7 @@ PpcCpu::PpcCpu(Scheduler& sch, const std::string& name, Signal<Logic>& clk,
       imem_(imem),
       ext_irq_(ext_irq),
       dma_(port, /*burst_limit=*/1),
-      cache_(imem),
-      wake_ev_(*this) {
+      cache_(imem) {
     st_.pc = cfg_.reset_pc;
     sync_proc("exec", [this] { on_clock(); }, {rtlsim::posedge(clk_)});
 }
@@ -84,87 +82,6 @@ void PpcCpu::do_syscall() {
                      call, st_.gpr[3], isr_depth_ > 0 ? 1 : 0);
     }
 }
-
-// --- sleep ----------------------------------------------------------------
-
-void PpcCpu::enable_sleep(rtlsim::Clock& gclk) {
-    gclk_ = &gclk;
-    add_wake_signal(rst_);
-    add_wake_signal(ext_irq_);
-    // Any write into instruction memory (another master's DMA, a backdoor
-    // poke) ends an open window: the pre-executed suffix may be stale.
-    imem_.set_write_observer([this](std::uint32_t) { wake_early(); });
-}
-
-void PpcCpu::add_wake_signal(Signal<Logic>& sig) {
-    sync_proc("wake" + std::to_string(wake_procs_++),
-              [this] { wake_early(); }, {rtlsim::anyedge(sig)});
-}
-
-bool PpcCpu::maybe_sleep() {
-    std::uint64_t len;
-    if (st_.halted) {
-        // Pure idle spin (`b .`): skip cycles without pre-executing; the
-        // register file is a fixed point. Conditional self-branches are
-        // not fixed points (CTR moves), so only kBHalt qualifies.
-        const DecodeCache::Block* blk = cache_.lookup(st_.pc);
-        if (blk == nullptr || blk->ops.front().kind != Uop::kBHalt) {
-            return false;
-        }
-        len = kMaxSleep;
-        sleep_end_ = st_;
-    } else {
-        ArchRegs scratch = st_;
-        const ExecResult r = exec_cached(scratch, cache_, kMaxSleep);
-        if (r.executed < kMinSleep) return false;
-        len = r.executed;
-        sleep_end_ = scratch;
-    }
-    sleeping_ = true;
-    sleep_len_ = len;
-    sleep_start_ = sch_.now();
-    ++sleep_windows_;
-    // Wake on the falling-edge phase point after the window's last
-    // instruction slot: posedge j of the window sits at start + j*P, so the
-    // resumed wave's first rise lands exactly on the free-running grid.
-    const rtlsim::Time p = gclk_->period();
-    sch_.schedule_event(sleep_start_ + len * p - p / 2, wake_ev_);
-    gclk_->suspend();
-    return true;
-}
-
-void PpcCpu::commit_sleep(std::uint64_t elapsed) {
-    assert(sleeping_);
-    sleeping_ = false;
-    if (st_.halted) {
-        // Idle-spin window: st_ is already the committed state.
-    } else if (elapsed == sleep_len_) {
-        st_ = sleep_end_;
-    } else {
-        // Early wake: replay the elapsed prefix over the scan-time decode
-        // (assume_fresh) — the wake may itself be a store into that code
-        // page, but every replayed instruction predates the store.
-        const ExecResult r =
-            exec_cached(st_, cache_, elapsed, /*assume_fresh=*/true);
-        (void)r;
-        assert(r.executed == elapsed);
-    }
-    icount_ += elapsed;
-    sleep_insns_ += elapsed;
-    cur_blk_ = nullptr;
-    gclk_->resume();
-}
-
-void PpcCpu::wake_early() {
-    if (!sleeping_) return;
-    const rtlsim::Time p = gclk_->period();
-    const std::uint64_t e = std::min<std::uint64_t>(
-        (sch_.now() - sleep_start_) / p + 1, sleep_len_);
-    sch_.cancel_event(wake_ev_);
-    commit_sleep(e);
-}
-
-void PpcCpu::wake_now() { wake_early(); }
 
 // --- per-cycle execution ----------------------------------------------------
 
@@ -238,15 +155,7 @@ void PpcCpu::on_clock() {
         return;  // vector fetch starts next cycle
     }
 
-    if (cfg_.engine == Config::Engine::kCached) {
-        // Sleep windows are per-cycle-equivalent batch execution; they stay
-        // off while tracing (per-instruction hook) and while the interrupt
-        // pin is X (the per-cycle X reports must keep firing).
-        if (gclk_ != nullptr && !trace && !is_unknown(irq) && maybe_sleep()) {
-            return;
-        }
-        if (step_cached()) return;
-    }
+    if (cfg_.engine == Config::Engine::kCached && step_cached()) return;
 
     // Fetch (cached; backdoor read — see header timing model).
     if (!imem_.claims(st_.pc) || (st_.pc & 3u) != 0) {
@@ -384,15 +293,12 @@ void PpcCpu::ckpt_save(rtlsim::SnapWriter& w) const {
     w.u8(static_cast<std::uint8_t>(dcrop_.kind));
     w.u32(dcrop_.dcrn);
     w.u32(dcrop_.rt);
-    // Appended after the seed image: syscall layer and sleep window. The
-    // decode cache itself is derived state and stays out of the snapshot.
+    // Appended after the seed image: the syscall layer, then the retired
+    // sleep-window fields as the zeros every save wrote. The decode cache
+    // itself is derived state and stays out of the snapshot.
     host_.ckpt_save(w);
     w.u32(isr_depth_);
-    w.bool8(sleeping_);
-    w.u64(sleep_len_);
-    w.u64(sleep_start_);
-    w.u64(wake_ev_.time());
-    w.bool8(wake_ev_.pending());
+    for (unsigned i = 0; i < kRetiredSleepBytes; ++i) w.u8(0);
 }
 
 bool PpcCpu::ckpt_restore(rtlsim::SnapReader& r) {
@@ -428,11 +334,9 @@ bool PpcCpu::ckpt_restore(rtlsim::SnapReader& r) {
     dcrop_.rt = r.u32();
     if (!host_.ckpt_restore(r)) return false;
     isr_depth_ = r.u32();
-    sleeping_ = r.bool8();
-    sleep_len_ = r.u64();
-    sleep_start_ = r.u64();
-    const rtlsim::Time wake_time = r.u64();
-    const bool wake_pending = r.bool8();
+    for (unsigned i = 0; i < kRetiredSleepBytes; ++i) {
+        if (r.u8() != 0) return false;
+    }
     if (!r.ok_so_far()) return false;
     if (mem_.rt >= st_.gpr.size() || dcrop_.rt >= st_.gpr.size()) return false;
     if (mem_busy_ != dma_.busy()) return false;
@@ -476,23 +380,9 @@ bool PpcCpu::ckpt_restore(rtlsim::SnapReader& r) {
             case DcrOp::Kind::None: return false;
         }
     }
-    // The decode cache is rebuilt from restored memory (which must restore
-    // before the CPU — the standard section order).
+    // The decode cache is rebuilt from restored memory on first use.
     cache_.flush();
     cur_blk_ = nullptr;
-    if (sleeping_ != wake_pending) return false;
-    if (sleeping_) {
-        if (gclk_ == nullptr) return false;  // harness must enable_sleep first
-        if (st_.halted) {
-            sleep_end_ = st_;  // idle-spin window
-        } else {
-            sleep_end_ = st_;
-            const ExecResult rr =
-                exec_cached(sleep_end_, cache_, sleep_len_, true);
-            if (rr.executed != sleep_len_) return false;
-        }
-        sch_.schedule_event(wake_time, wake_ev_);
-    }
     return true;
 }
 

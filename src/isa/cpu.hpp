@@ -25,15 +25,9 @@
 //     the interpreter for bus ops, traps, MSR writes and illegal words.
 //     Cycle-, trace- and diagnostic-identical to kInterp by construction.
 //
-// On top of kCached, a harness whose only active master is the CPU may call
-// enable_sleep(): when the CPU sees a long bus-free instruction sequence
-// ahead it pre-executes up to a few thousand instructions on a scratch
-// register file, parks the clock generator (phase-preserving gating), and
-// schedules a single wake event — collapsing thousands of posedge events
-// into two. Any registered wake signal edge or any memory write commits the
-// elapsed prefix and resumes the clock, so interrupts and DMA stores into
-// code observe per-cycle semantics. Not valid when other modules need the
-// same clock: the system harness never enables it.
+// Both engines retire at most one instruction per posedge: the CPU shares
+// its clock with every other module of the design, so it never runs ahead
+// of the hardware it drives.
 //
 // Syscalls: the Power `sc` instruction traps to HostIo (src/isa/syscall.hpp)
 // with the genuine SRR0/SRR1 clobber — which is exactly why `sc` inside an
@@ -81,9 +75,6 @@ public:
            Memory& imem, Signal<Logic>& ext_irq, Config cfg);
 
     // --- introspection (testbench/backdoor) ------------------------------
-    // While a sleep window is open the architectural state lags simulated
-    // time; call wake_now() first (harnesses that never enable sleep are
-    // unaffected).
     [[nodiscard]] std::uint32_t gpr(unsigned i) const { return st_.gpr[i]; }
     void set_gpr(unsigned i, std::uint32_t v) { st_.gpr[i] = v; }
     [[nodiscard]] std::uint32_t pc() const { return st_.pc; }
@@ -118,39 +109,15 @@ public:
 
     /// Optional per-instruction trace hook (pc, raw instruction). Not part
     /// of the checkpoint image; consumers re-install it after restore.
-    /// Installing a trace hook disables sleep windows (per-cycle only).
     std::function<void(std::uint32_t, std::uint32_t)> trace;
-
-    // --- sleep (clock-gated batch execution; harness opt-in) -------------
-    /// Allow sleep windows, parking `gclk` (which must generate this CPU's
-    /// clk) during them. The reset and external-interrupt inputs are
-    /// registered as wake signals automatically, and every write into
-    /// `imem` wakes the CPU (store-to-code / DMA visibility). Requires the
-    /// kCached engine; call once, before run.
-    void enable_sleep(rtlsim::Clock& gclk);
-
-    /// Register an additional wake signal (e.g. a DMA-done line a polled
-    /// loop is watching). Any value change ends an open sleep window.
-    void add_wake_signal(Signal<Logic>& sig);
-
-    /// Commit an open sleep window up to the current simulated time and
-    /// resume the clock; no-op when not sleeping. Call before reading
-    /// architectural state mid-run from a sleep-enabled harness.
-    void wake_now();
-
-    [[nodiscard]] bool sleeping() const { return sleeping_; }
-    [[nodiscard]] std::uint64_t sleep_windows() const {
-        return sleep_windows_;
-    }
-    [[nodiscard]] std::uint64_t sleep_insns() const { return sleep_insns_; }
 
     // --- checkpoint ------------------------------------------------------
     /// Architectural registers + the pending memory/DCR operation
     /// descriptors; an op that was mid-flight at save time resumes on the
     /// restored bus state with freshly re-armed completion closures. The
     /// decode cache is never serialized — restore flushes it and redecodes
-    /// from restored memory (memory must restore before the CPU when a
-    /// sleep window is open, so the scratch replay decodes the saved code).
+    /// from restored memory. The section ends with the retired sleep-window
+    /// fields (DESIGN.md §11): zero bytes that restore requires.
     void ckpt_save(rtlsim::SnapWriter& w) const;
     [[nodiscard]] bool ckpt_restore(rtlsim::SnapReader& r);
 
@@ -164,9 +131,6 @@ private:
     void do_syscall();
 
     bool step_cached();  ///< one micro-op via the decode cache; false -> fetch path
-    bool maybe_sleep();  ///< try to open a sleep window at this posedge
-    void commit_sleep(std::uint64_t elapsed);
-    void wake_early();
 
     // Data-side memory operations (through the PLB).
     void load(std::uint32_t ea, unsigned bytes, std::uint32_t rt);
@@ -200,35 +164,16 @@ private:
     std::uint32_t isr_depth_ = 0;  ///< take_interrupt/rfi nesting (syscall-in-ISR)
     obs::EventRecorder* obs_ = nullptr;
 
+    /// Width of the retired sleep-window fields at the end of the section:
+    /// a flag, window length, start time, wake time and wake-pending flag.
+    static constexpr unsigned kRetiredSleepBytes = 1 + 8 + 8 + 8 + 1;
+
     // Decode cache + per-cycle cursor. The cursor is a pure accelerator:
     // it is valid only while it agrees with st_.pc and the block is fresh,
     // so dropping it (nullptr) is always safe.
     DecodeCache cache_;
     const DecodeCache::Block* cur_blk_ = nullptr;
     std::size_t cur_idx_ = 0;
-
-    // Sleep state. A window pre-executed sleep_len_ instructions starting
-    // at the posedge at sleep_start_; sleep_end_ holds the post-window
-    // register file. An early wake replays the elapsed prefix from st_
-    // (unchanged during the window) over the scan-time decode.
-    struct WakeEvent final : rtlsim::TimedEvent {
-        explicit WakeEvent(PpcCpu& c) : cpu(c) {}
-        void fire() override { cpu.commit_sleep(cpu.sleep_len_); }
-        PpcCpu& cpu;
-    };
-
-    static constexpr std::uint64_t kMinSleep = 16;    ///< not worth gating below
-    static constexpr std::uint64_t kMaxSleep = 4096;  ///< scan budget per window
-
-    rtlsim::Clock* gclk_ = nullptr;  ///< non-null once sleep is enabled
-    bool sleeping_ = false;
-    std::uint64_t sleep_len_ = 0;
-    rtlsim::Time sleep_start_ = 0;
-    ArchRegs sleep_end_;
-    WakeEvent wake_ev_;
-    unsigned wake_procs_ = 0;
-    std::uint64_t sleep_windows_ = 0;
-    std::uint64_t sleep_insns_ = 0;
 
     // Pending data-side operation descriptor. The DMA closures capture only
     // `this` and read their operands from here, which is what makes a

@@ -26,12 +26,11 @@ inline void put_rc(ArchRegs& st, const MicroOp* uop, std::uint32_t v) {
 
 }  // namespace
 
-// Micro-op semantics, defined exactly once. Each entry expands with `st`
+// Micro-op semantics, one entry per kind. Each entry expands with `st`
 // (ArchRegs&) and `uop` (const MicroOp*) in scope and st.pc already
-// advanced past the instruction; the same list instantiates the portable
-// switch in exec_uop and the computed-goto labels in exec_cached, so the
-// two dispatchers cannot drift apart. kFallback is deliberately absent:
-// callers filter it through needs_interp() first.
+// advanced past the instruction; the list has one expansion, the switch
+// in exec_uop. kFallback is deliberately absent: callers filter it
+// through needs_interp() first.
 // clang-format off
 #define AUTOVISION_UOP_SEMANTICS(X)                                          \
     X(kAddi,                                                                 \
@@ -341,102 +340,18 @@ void DecodeCache::decode_block(Block& b, std::uint32_t pc) {
     }
 }
 
-const DecodeCache::Block* DecodeCache::lookup(std::uint32_t pc,
-                                              bool assume_fresh) {
+const DecodeCache::Block* DecodeCache::lookup(std::uint32_t pc) {
     if ((pc & 3u) != 0 || !mem_.claims(pc)) return nullptr;
     auto [it, inserted] = blocks_.try_emplace(pc);
     Block& b = it->second;
     if (inserted) {
         ++decodes_;
         decode_block(b, pc);
-    } else if (!assume_fresh && !fresh(b)) {
+    } else if (!fresh(b)) {
         ++stale_redecodes_;
         decode_block(b, pc);
     }
     return b.ops.empty() ? nullptr : &b;
-}
-
-ExecResult exec_cached(ArchRegs& st, DecodeCache& cache, std::uint64_t budget,
-                       bool assume_fresh) {
-#if defined(__GNUC__) || defined(__clang__)
-    // Threaded dispatch: each retired op jumps straight to the next op's
-    // semantics through a per-call label table (cheap to build — a few
-    // dozen stores per multi-thousand-instruction window — and free of
-    // static-initialization ordering or thread-safety concerns).
-    const void* jump[static_cast<std::size_t>(Uop::kFallback) + 1];
-#define AUTOVISION_UOP_ADDR(name, ...) \
-    jump[static_cast<std::size_t>(Uop::name)] = &&lbl_##name;
-    AUTOVISION_UOP_SEMANTICS(AUTOVISION_UOP_ADDR)
-#undef AUTOVISION_UOP_ADDR
-    jump[static_cast<std::size_t>(Uop::kFallback)] = &&lbl_trap;
-
-    std::uint64_t n = 0;
-    const DecodeCache::Block* blk;
-    const MicroOp* uop;
-    std::uint32_t base;
-    std::size_t idx;
-    std::size_t len;
-
-refill:
-    if (n >= budget) return {ExecStop::kBudget, n};
-    blk = cache.lookup(st.pc, assume_fresh);
-    if (blk == nullptr || blk->ops.empty()) return {ExecStop::kNoBlock, n};
-    base = blk->start_pc;
-    idx = 0;
-    len = blk->ops.size();
-
-dispatch:
-    uop = &blk->ops[idx];
-    if (needs_interp(st, *uop)) return {ExecStop::kTerminator, n};
-    st.pc += 4;
-    goto* jump[static_cast<std::size_t>(uop->kind)];
-
-#define AUTOVISION_UOP_LABEL(name, ...) \
-    lbl_##name : {                      \
-        __VA_ARGS__                     \
-    }                                   \
-    goto retired;
-    AUTOVISION_UOP_SEMANTICS(AUTOVISION_UOP_LABEL)
-#undef AUTOVISION_UOP_LABEL
-
-lbl_trap:
-    assert(false && "exec_cached: fallback op reached dispatch");
-    return {ExecStop::kTerminator, n};
-
-retired:
-    ++n;
-    if (st.halted) return {ExecStop::kHalted, n};
-    if (st.pc == base + 4 * static_cast<std::uint32_t>(idx + 1) &&
-        idx + 1 < len) {
-        ++idx;
-        if (n >= budget) return {ExecStop::kBudget, n};
-        goto dispatch;
-    }
-    goto refill;
-#else
-    std::uint64_t n = 0;
-    while (n < budget) {
-        const DecodeCache::Block* blk = cache.lookup(st.pc, assume_fresh);
-        if (blk == nullptr || blk->ops.empty()) {
-            return {ExecStop::kNoBlock, n};
-        }
-        const std::uint32_t base = blk->start_pc;
-        const std::size_t len = blk->ops.size();
-        for (std::size_t idx = 0; idx < len;) {
-            const MicroOp& op = blk->ops[idx];
-            if (needs_interp(st, op)) return {ExecStop::kTerminator, n};
-            exec_uop(st, op);
-            ++n;
-            if (st.halted) return {ExecStop::kHalted, n};
-            if (st.pc != base + 4 * static_cast<std::uint32_t>(idx + 1)) {
-                break;  // taken branch: re-enter through the cache
-            }
-            if (n >= budget) return {ExecStop::kBudget, n};
-            ++idx;
-        }
-    }
-    return {ExecStop::kBudget, n};
-#endif
 }
 
 }  // namespace autovision::isa

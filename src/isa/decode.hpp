@@ -1,4 +1,4 @@
-// Predecoded basic-block cache and batch executor for the PPC ISS.
+// Predecoded basic-block cache for the PPC ISS.
 //
 // The interpreter in cpu.cpp re-decodes every instruction on every clock
 // edge; measured against the scenario firmware that is ~150 ns/insn, of
@@ -6,9 +6,7 @@
 // This file splits the ISS into the layers a fast ISS needs:
 //
 //   * ArchRegs — the architectural register file as a plain value type,
-//     so an instruction-set step can run on a scratch copy (the sleep
-//     scan), be compared wholesale (the lockstep differential tests),
-//     and be committed atomically.
+//     so it can be compared wholesale (the lockstep differential tests).
 //   * Uop/MicroOp — one decoded instruction, 16 bytes, with immediates,
 //     rotate masks, and branch targets precomputed at decode time.
 //   * DecodeCache — basic blocks keyed by start PC. A block is decoded
@@ -16,19 +14,16 @@
 //     generation, so a store into code (self-modifying firmware, DMA, a
 //     corrupting reconfiguration) forces a redecode instead of executing
 //     stale micro-ops.
-//   * exec_cached — the threaded-dispatch batch executor: runs micro-ops
-//     on an ArchRegs until a budget, a non-deferrable instruction (bus
-//     access, syscall, MSR write), a halt, or undecodable memory stops it.
 //
-// The per-cycle cached engine in cpu.cpp executes exactly one micro-op per
-// posedge through the same semantics (exec_uop), which keeps it cycle-,
-// trace-, and diagnostic-identical to the interpreter; the batch executor
-// is what the clock-gated sleep path and the checkpoint replay use.
+// The cached engine in cpu.cpp retires exactly one micro-op per posedge
+// through exec_uop, which keeps it cycle-, trace-, and diagnostic-identical
+// to the interpreter.
 //
 // Block boundaries: a block ends at any branch (included), at the first
-// Uop::kFallback (included — the executor stops *before* it), at a 4 KiB
-// page boundary (so one page generation covers the whole block), at an
-// undecodable/X word (excluded), or at kMaxBlockLen micro-ops.
+// Uop::kFallback (included — the engine runs it through the interpreter),
+// at a 4 KiB page boundary (so one page generation covers the whole
+// block), at an undecodable/X word (excluded), or at kMaxBlockLen
+// micro-ops.
 #pragma once
 
 #include <array>
@@ -62,7 +57,7 @@ inline void set_cr0_signed(ArchRegs& st, std::uint32_t v) {
     st.cr0 = (s < 0) ? CR0_LT : (s > 0) ? CR0_GT : CR0_EQ;
 }
 
-/// Micro-op kinds. Everything the executor can retire without touching the
+/// Micro-op kinds. Everything exec_uop can retire without touching the
 /// bus, the DCR ring, MSR[EE], or the host gets its own kind; the rest —
 /// loads/stores, mfdcr/mtdcr, sc, rfi, mtmsr, wrteei, illegal encodings —
 /// is kFallback and always runs through the full interpreter per-cycle.
@@ -186,12 +181,7 @@ public:
     /// redecoded in place. Returns nullptr when no instruction can be
     /// decoded at `pc` (bad address, misaligned, X word) — the caller's
     /// interpreter fetch path then produces the proper diagnostics.
-    /// With assume_fresh the generation check is skipped: the checkpoint /
-    /// early-wake replay paths must re-execute exactly the micro-ops the
-    /// original scan used, even if the triggering event was a store into
-    /// that very code page.
-    [[nodiscard]] const Block* lookup(std::uint32_t pc,
-                                      bool assume_fresh = false);
+    [[nodiscard]] const Block* lookup(std::uint32_t pc);
 
     /// Drop every block (checkpoint restore, reset).
     void flush() {
@@ -215,25 +205,5 @@ private:
     std::uint64_t stale_redecodes_ = 0;
     std::uint64_t flushes_ = 0;
 };
-
-/// Why the batch executor returned.
-enum class ExecStop : std::uint8_t {
-    kBudget,      ///< executed `budget` micro-ops
-    kTerminator,  ///< stopped *before* an op that needs the interpreter
-    kHalted,      ///< retired a halting self-branch (included in count)
-    kNoBlock,     ///< st.pc has no decodable instruction
-};
-
-struct ExecResult {
-    ExecStop stop = ExecStop::kBudget;
-    std::uint64_t executed = 0;
-};
-
-/// Run micro-ops on `st`, following branches across blocks, until one of
-/// the ExecStop conditions. Deterministic: re-running from the same state
-/// over unchanged (or assume_fresh-pinned) decode retires the same ops.
-[[nodiscard]] ExecResult exec_cached(ArchRegs& st, DecodeCache& cache,
-                                     std::uint64_t budget,
-                                     bool assume_fresh = false);
 
 }  // namespace autovision::isa

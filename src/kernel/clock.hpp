@@ -30,79 +30,50 @@ public:
 
     [[nodiscard]] Time period() const noexcept { return 2 * half_; }
 
-    // --- gating -----------------------------------------------------------
-    // A consumer that knows nothing else in the design needs the wave (the
-    // ISS sleep path, where the CPU is the only active master) may park the
-    // generator and re-start it later. The phase is preserved: edges after
-    // resume() land exactly where the free-running wave would have put
-    // them, so anything clocked by `out` sees the same edge timestamps as
-    // an ungated run — only the skipped edges (and their host cost) vanish.
-
-    /// Request the wave to stop. Takes effect after the next *completed*
-    /// falling edge: the output parks at a committed 0, so the eventual
-    /// resume rise is a real value change (a same-value rewrite would not
-    /// notify listeners).
-    void suspend() {
-        if (!suspended_) suspend_pending_ = true;
-    }
-
-    /// Restart a parked wave: the next toggle is scheduled on the original
-    /// rising-edge phase grid, strictly after `now`. Cancels a suspend that
-    /// has not parked yet. Sequential contexts only (schedules an event).
-    void resume() {
-        suspend_pending_ = false;
-        if (!suspended_) return;
-        suspended_ = false;
-        sch_.schedule_event(next_rise_after(sch_.now()), toggle_);
-    }
-
-    [[nodiscard]] bool suspended() const noexcept { return suspended_; }
-
-    /// First rising-edge phase point strictly after `t` (rises sit at
-    /// origin + (2k+1)·half).
-    [[nodiscard]] Time next_rise_after(Time t) const noexcept {
-        if (t < origin_ + half_) return origin_ + half_;
-        const Time k = (t - origin_ - half_) / (2 * half_) + 1;
-        return origin_ + half_ + k * 2 * half_;
-    }
-
     // --- checkpoint ------------------------------------------------------
-    /// The embedded toggle event is perpetually pending (free-running) or
-    /// parked (gated); its next absolute firing time plus the gating flags
-    /// are the whole clock state (the wave's phase is in the `out` signal,
-    /// saved with every other signal).
+    /// The embedded toggle event is always pending; its next absolute
+    /// firing time is the whole clock state (the wave's phase is in the
+    /// `out` signal, saved with every other signal). The pending flag, the
+    /// origin and the two gating bytes of the retired clock parking are
+    /// the constants every save writes (DESIGN.md §11).
     void ckpt_save(SnapWriter& w) const {
         w.u64(toggle_.time());
-        w.bool8(toggle_.pending());
+        w.bool8(true);
         w.u64(origin_);
-        w.bool8(suspend_pending_);
-        w.bool8(suspended_);
+        w.bool8(false);
+        w.bool8(false);
     }
-    /// Re-enter the toggle into the (drained) wheel at the saved time; a
-    /// parked clock stays parked until its gating consumer resumes it.
+    /// Re-enter the toggle into the (drained) wheel. The kernel section has
+    /// restored `now`, and a save always finds the toggle at the wave's
+    /// first edge after it, so anything else is refused: a toggle in the
+    /// past or off the origin + k·half grid, a clock that is not pending,
+    /// another origin, or a set gating byte.
     bool ckpt_restore(SnapReader& r) {
         const Time t = r.u64();
         const bool pending = r.bool8();
-        origin_ = r.u64();
-        suspend_pending_ = r.bool8();
-        suspended_ = r.bool8();
-        if (!r.ok_so_far()) return false;
-        if (pending) sch_.schedule_event(t, toggle_);
+        const Time origin = r.u64();
+        const std::uint8_t suspend_pending = r.u8();
+        const std::uint8_t suspended = r.u8();
+        if (!r.ok_so_far() || !pending || origin != origin_ ||
+            suspend_pending != 0 || suspended != 0 ||
+            t != first_edge_after(sch_.now())) {
+            return false;
+        }
+        sch_.schedule_event(t, toggle_);
         return true;
     }
 
 private:
+    /// First edge strictly after `t`; edges sit at origin + k·half, k >= 1.
+    [[nodiscard]] Time first_edge_after(Time t) const noexcept {
+        if (t < origin_) return origin_ + half_;
+        return origin_ + ((t - origin_) / half_ + 1) * half_;
+    }
+
     struct ToggleEvent final : TimedEvent {
         explicit ToggleEvent(Clock& c) : clk(c) {}
         void fire() override {
             const bool rising = !is1(clk.out.read());
-            if (!rising && clk.suspend_pending_) {
-                // Complete the falling edge, then park low: no reschedule.
-                clk.out.write(Logic::L0);
-                clk.suspend_pending_ = false;
-                clk.suspended_ = true;
-                return;
-            }
             clk.out.write(rising ? Logic::L1 : Logic::L0);
             clk.sch_.schedule_event(clk.sch_.now() + clk.half_, *this);
         }
@@ -112,8 +83,6 @@ private:
     ToggleEvent toggle_;
     Time half_;
     Time origin_;
-    bool suspend_pending_ = false;
-    bool suspended_ = false;
 };
 
 /// Active-high reset generator: asserted from time 0, released at `hold`.
@@ -135,10 +104,15 @@ public:
         w.u64(release_.time());
         w.bool8(release_.pending());
     }
+    /// A save finds the release pending at or after the restored `now`, or
+    /// fired at or before it. Anything else is refused: a pending release
+    /// in the past would replay it, a fired one in the future never comes.
     bool ckpt_restore(SnapReader& r) {
         const Time t = r.u64();
         const bool pending = r.bool8();
-        if (!r.ok_so_far()) return false;
+        if (!r.ok_so_far() || (pending ? t < sch_.now() : t > sch_.now())) {
+            return false;
+        }
         if (pending) sch_.schedule_event(t, release_);
         return true;
     }

@@ -7,7 +7,8 @@
 // like: almost every event is one clock half-period in the future.
 //
 //   * TimedEvent is an intrusive, reusable node. Recurring sources (clocks)
-//     embed one and reschedule it from fire() without ever allocating.
+//     embed one and reschedule it from fire() without ever allocating. A
+//     pushed node leaves the queue only by firing or by clear().
 //   * CalendarQueue keys events into a ring of flat buckets covering the
 //     near future; the rare far-future event (watchdogs, one-shot resets)
 //     goes to a sorted overflow map and migrates into the ring as the
@@ -138,36 +139,6 @@ public:
         overflow_.clear();
         count_ = 0;
         floor_bucket_ = 0;
-    }
-
-    /// Unlink one pending event wherever it sits (ring bucket or overflow)
-    /// without firing it. O(bucket occupancy) — a cancelled event is always
-    /// near-future (a sleep wake), so its bucket chain is short. The caller
-    /// owns the pending flag; precondition: `ev` was pushed and has not
-    /// fired.
-    void cancel(TimedEvent* ev) {
-        Bucket& bk = ring_[bucket_of(ev->time_) & kMask];
-        TimedEvent* prev = nullptr;
-        for (TimedEvent* e = bk.head; e != nullptr; prev = e, e = e->next_) {
-            if (e != ev) continue;
-            if (prev != nullptr) {
-                prev->next_ = e->next_;
-            } else {
-                bk.head = e->next_;
-            }
-            if (bk.tail == e) bk.tail = prev;
-            --count_;
-            return;
-        }
-        for (auto it = overflow_.lower_bound(ev->time_);
-             it != overflow_.end() && it->first == ev->time_; ++it) {
-            if (it->second == ev) {
-                overflow_.erase(it);
-                --count_;
-                return;
-            }
-        }
-        assert(false && "cancel: event not pending in the wheel");
     }
 
     /// Earliest pending timestamp; false when the queue is empty.

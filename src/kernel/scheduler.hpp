@@ -223,7 +223,10 @@ public:
 
     /// Schedule an intrusive event node at an absolute time (must be >= now
     /// and the node must not already be pending). Allocation-free; the node
-    /// may reschedule itself from fire().
+    /// may reschedule itself from fire(). Both preconditions are asserts
+    /// only, so a caller that takes `t` from outside bytes (a checkpoint
+    /// restore) checks it first. A scheduled node fires; nothing unlinks it
+    /// except the drain in ckpt_restore().
     void schedule_event(Time t, TimedEvent& ev) {
         assert(t >= now_ && "cannot schedule events in the past");
         assert(!ev.pending_ && "event is already scheduled");
@@ -231,19 +234,6 @@ public:
         ev.pending_ = true;
         ev.next_ = nullptr;
         queue_.push(&ev, now_);
-    }
-
-    /// Remove a pending intrusive event from the wheel without firing it;
-    /// a no-op when the node is not pending (it already fired or was never
-    /// scheduled). Sequential contexts only, like schedule_event(). Used by
-    /// event sources that must retarget a wake (the ISS sleep path) —
-    /// cancelling instead of letting a stale node fire keeps the kernel's
-    /// event counts, and therefore checkpoint bytes, deterministic.
-    void cancel_event(TimedEvent& ev) {
-        if (!ev.pending_) return;
-        queue_.cancel(&ev);
-        ev.pending_ = false;
-        ev.next_ = nullptr;
     }
 
     /// Run until the given absolute time (inclusive) or until out of events.
@@ -319,7 +309,8 @@ public:
     /// deltas, then restores time/stats/diagnostics/gates. A gate table
     /// whose length is not the elaborated process count, or a gate flag
     /// other than 0/1, is rejected. Event sources must re-schedule
-    /// themselves afterwards (Clock/ResetGen::ckpt_restore).
+    /// themselves afterwards (Clock/ResetGen::ckpt_restore), at times they
+    /// have checked against the restored now().
     [[nodiscard]] bool ckpt_restore(SnapReader& r);
 
     /// Serialize every registered signal (elaboration order), each tagged

@@ -300,6 +300,88 @@ TEST(Ckpt, MutatedGateTableAndFsmBytesAreRejected) {
     }
 }
 
+/// The event time a clock or reset section opens with (a u64).
+rtlsim::Time event_time(const std::vector<std::uint8_t>& p) {
+    return rtlsim::SnapReader(p).u64();
+}
+void set_event_time(std::vector<std::uint8_t>& p, rtlsim::Time t) {
+    rtlsim::SnapWriter w;
+    w.u64(t);
+    std::copy(w.buffer().begin(), w.buffer().end(), p.begin());
+}
+
+// Clock, reset and CPU bytes that no save can produce. The clock section
+// is u64 toggle time, u8 pending, u64 origin and two retired gating
+// bytes; the reset section u64 release time and u8 pending; the CPU
+// section ends with 26 retired sleep-window bytes (a flag, three u64s and
+// a flag) that every save writes as zero.
+TEST(Ckpt, MutatedClockResetAndCpuBytesAreRejected) {
+    const SystemConfig cfg = small_config();
+    DirectRun a(cfg);
+    a.run_to(1000 * cfg.clk_period);
+    const std::string blob = a.blob();
+    ASSERT_EQ(restore_error(cfg, blob), "");
+
+    const auto error_with = [&](const std::string& section, auto mutate) {
+        return restore_error(cfg, mutate_section(blob, section, mutate));
+    };
+    using Bytes = std::vector<std::uint8_t>;
+    const auto clock_with = [&](auto mutate) {
+        return error_with("clock", [&](Bytes& p) {
+            ASSERT_EQ(p.size(), 19u);
+            ASSERT_EQ(p[8], 1u);  // pending
+            mutate(p);
+        });
+    };
+    const auto toggle_later = [&](rtlsim::Time delta) {
+        return clock_with(
+            [&](Bytes& p) { set_event_time(p, event_time(p) + delta); });
+    };
+    const std::string kClock = "clock section corrupt";
+    EXPECT_EQ(clock_with([](Bytes& p) { set_event_time(p, 0); }), kClock)
+        << "toggle before now";
+    EXPECT_EQ(toggle_later(1), kClock) << "toggle off the edge grid";
+    EXPECT_EQ(toggle_later(cfg.clk_period), kClock)
+        << "toggle past the next edge";
+    EXPECT_EQ(clock_with([](Bytes& p) { p[8] = 0; }), kClock)
+        << "clock not pending";
+    EXPECT_EQ(clock_with([](Bytes& p) { p[16] ^= 1; }), kClock)
+        << "another origin";
+    EXPECT_EQ(clock_with([](Bytes& p) { p[17] = 1; }), kClock)
+        << "suspend-pending byte set";
+    EXPECT_EQ(clock_with([](Bytes& p) { p[18] = 1; }), kClock)
+        << "suspended byte set";
+
+    // The reset released long before cycle 1000.
+    const auto reset_with = [&](auto mutate) {
+        return error_with("reset", [&](Bytes& p) {
+            ASSERT_EQ(p.size(), 9u);
+            ASSERT_EQ(p[8], 0u);
+            mutate(p);
+        });
+    };
+    EXPECT_EQ(reset_with([](Bytes& p) { p[8] = 1; }), "reset section corrupt")
+        << "pending release before now";
+    EXPECT_EQ(reset_with([&](Bytes& p) {
+                  set_event_time(p, a.sys.sch.now() + cfg.clk_period);
+              }),
+              "reset section corrupt")
+        << "fired release after now";
+
+    // One non-zero byte in each retired sleep-window field.
+    const auto cpu_byte_set = [&](std::size_t from_end) {
+        return error_with("cpu", [from_end](Bytes& p) {
+            const auto zero = [](std::uint8_t b) { return b == 0; };
+            ASSERT_TRUE(std::all_of(p.end() - 26, p.end(), zero));
+            p[p.size() - from_end] = 1;
+        });
+    };
+    for (const std::size_t from_end : {26u, 18u, 10u, 2u, 1u}) {
+        EXPECT_EQ(cpu_byte_set(from_end), "cpu section corrupt")
+            << "sleep byte " << from_end << " from the end";
+    }
+}
+
 // The section table must be exactly what the system registers: an extra,
 // reordered or duplicated section is refused before any state is touched.
 TEST(Ckpt, EditedSectionTableIsRejected) {

@@ -85,8 +85,10 @@ void bm_event_reschedule(benchmark::State& state) {
 }
 BENCHMARK(bm_event_reschedule);
 
-/// Far-future scheduling through the calendar queue's overflow path
-/// (watchdog-style events beyond the ring horizon).
+/// A pooled closure scheduled 5 us ahead (watchdog-style) and popped
+/// alone: the schedule_at() and event-queue round trip. The name and its
+/// baseline row date from the calendar queue, where this took the
+/// far-future overflow path.
 void bm_far_future_events(benchmark::State& state) {
     Scheduler sch;
     std::uint64_t sink = 0;

@@ -158,12 +158,14 @@ bool Sections::restore(std::istream& is, std::uint64_t config_hash,
 
     // Kernel first (clears the event queue and quiesces), then the event
     // sources re-schedule themselves, then modules, then signal values.
+    // Each reader must end exactly where its payload does: a save writes
+    // nothing its restore leaves unread.
     for (Part& p : parts_) {
         rtlsim::SnapReader r = loader.reader(p.name);
-        if (!p.restore(r)) return fail(p.name + " section corrupt");
+        if (!p.restore(r) || !r.ok()) return fail(p.name + " section corrupt");
     }
     rtlsim::SnapReader r = loader.reader("signals");
-    if (!sch_.ckpt_restore_signals(r)) {
+    if (!sch_.ckpt_restore_signals(r) || !r.ok()) {
         return fail("signals section corrupt");
     }
     for (const Check& c : checks_) {

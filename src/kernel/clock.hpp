@@ -43,7 +43,7 @@ public:
         w.bool8(false);
         w.bool8(false);
     }
-    /// Re-enter the toggle into the (drained) wheel. The kernel section has
+    /// Re-enter the toggle into the (drained) queue. The kernel section has
     /// restored `now`, and a save always finds the toggle at the wave's
     /// first edge after it, so anything else is refused: a toggle in the
     /// past or off the origin + k·half grid, a clock that is not pending,
@@ -99,7 +99,7 @@ public:
 
     // --- checkpoint ------------------------------------------------------
     /// Pending only before the release fires; afterwards the generator is
-    /// inert and restore leaves it out of the wheel.
+    /// inert and restore leaves it out of the queue.
     void ckpt_save(SnapWriter& w) const {
         w.u64(release_.time());
         w.bool8(release_.pending());

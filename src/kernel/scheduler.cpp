@@ -87,7 +87,7 @@ void Scheduler::schedule_at(Time t, std::function<void()> fn) {
     ev->time_ = t;
     ev->pending_ = true;
     ev->next_ = nullptr;
-    queue_.push(ev, now_);
+    queue_.push(ev);
 }
 
 bool Scheduler::commit_and_notify(std::uint32_t ref) {
@@ -286,7 +286,9 @@ bool Scheduler::ckpt_restore(SnapReader& r) {
     ckpt_clear_events();
     ckpt_quiesce();
     now_ = r.u64();
-    stop_requested_ = r.bool8();
+    const std::uint8_t stop = r.u8();
+    if (stop > 1) return false;
+    stop_requested_ = stop != 0;
     stop_reason_ = r.str();
     stats.timed_events = r.u64();
     stats.delta_cycles = r.u64();
@@ -294,7 +296,9 @@ bool Scheduler::ckpt_restore(SnapReader& r) {
     stats.signal_updates = r.u64();
     stats.time_steps = r.u64();
     dropped_diags_ = r.u64();
+    // report() stores kMaxDiags before it drops any.
     const std::uint32_t n = r.u32();
+    if (n > kMaxDiags || (dropped_diags_ != 0 && n < kMaxDiags)) return false;
     diags_.clear();
     for (std::uint32_t i = 0; i < n && r.ok_so_far(); ++i) {
         Diag d;

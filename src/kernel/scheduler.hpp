@@ -14,7 +14,7 @@
 // the paper.
 //
 // Hot-path design (see DESIGN.md "Kernel event path" and §13): timed events
-// live in a calendar-queue time wheel (event.hpp) as intrusive nodes; the
+// live in a binary-heap event queue (event.hpp) as intrusive nodes; the
 // closure convenience API pools its nodes on a free list; the evaluate and
 // update delta queues are double-buffered so no allocation happens at a
 // steady state; signal values live in a struct-of-arrays store
@@ -26,6 +26,7 @@
 // Evaluation is sequential; DESIGN.md §13 records why.
 #pragma once
 
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -200,7 +201,7 @@ private:
     mutable std::uint64_t snap_id_ = 0;  ///< 0 = not yet computed
 };
 
-/// The simulation kernel: calendar-queue time wheel + delta queues +
+/// The simulation kernel: event queue + delta queues +
 /// struct-of-arrays signal store + diagnostics.
 class Scheduler {
 public:
@@ -233,7 +234,7 @@ public:
         ev.time_ = t;
         ev.pending_ = true;
         ev.next_ = nullptr;
-        queue_.push(&ev, now_);
+        queue_.push(&ev);
     }
 
     /// Run until the given absolute time (inclusive) or until out of events.
@@ -297,7 +298,7 @@ public:
     /// True when the kernel is at a checkpointable quiescent point: no
     /// runnable process, no pending signal update, and no in-flight
     /// schedule_at() closure (closures cannot be serialized; the recurring
-    /// event sources — clocks, resets — re-enter the wheel on restore).
+    /// event sources — clocks, resets — re-enter the queue on restore).
     [[nodiscard]] bool ckpt_quiescent() const;
 
     /// Serialize the kernel core: sim time, stop state, stats, diagnostics,
@@ -305,10 +306,12 @@ public:
     /// registration order).
     void ckpt_save(SnapWriter& w) const;
     /// Restore the kernel core into a freshly elaborated scheduler: drains
-    /// the event wheel (elaboration-time schedules), discards any pending
-    /// deltas, then restores time/stats/diagnostics/gates. A gate table
-    /// whose length is not the elaborated process count, or a gate flag
-    /// other than 0/1, is rejected. Event sources must re-schedule
+    /// the event queue (elaboration-time schedules), discards any pending
+    /// deltas, then restores time/stats/diagnostics/gates. Bytes no save
+    /// writes are rejected: a stop byte other than 0/1, more than kMaxDiags
+    /// stored diagnostics, a dropped count with fewer than kMaxDiags
+    /// stored, a gate table whose length is not the elaborated process
+    /// count, or a gate flag other than 0/1. Event sources must re-schedule
     /// themselves afterwards (Clock/ResetGen::ckpt_restore), at times they
     /// have checked against the restored now().
     [[nodiscard]] bool ckpt_restore(SnapReader& r);
@@ -359,7 +362,7 @@ private:
     /// Commit one dirty signal from the store and fan out the change.
     /// Returns true when the committed value changed.
     bool commit_and_notify(std::uint32_t ref);
-    /// Drain the time wheel and rebuild the closure-event free list.
+    /// Drain the event queue and rebuild the closure-event free list.
     void ckpt_clear_events();
     void recycle(FnEvent* ev) noexcept {
         ev->next_ = fn_free_;
@@ -374,7 +377,7 @@ private:
     std::string stop_reason_;
     bool profiling_ = false;
 
-    CalendarQueue queue_;
+    EventQueue queue_;
     FnEvent* fn_free_ = nullptr;  ///< free list threaded through next_
     std::vector<std::unique_ptr<FnEvent>> fn_pool_;
 

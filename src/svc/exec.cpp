@@ -2,12 +2,14 @@
 
 #include <sys/stat.h>
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "campaign/campaigns.hpp"
@@ -28,31 +30,60 @@ using campaign::ClosureConfig;
 using campaign::ClosureLoop;
 using campaign::JobRecord;
 
-std::uint64_t param_u64(const JobSpec& spec, const char* key,
-                        std::uint64_t def) {
+/// Largest `seeds`, `batches` or `batch-size` a job may ask for: each
+/// sizes an allocation, so a wire frame must not choose it unbounded.
+constexpr std::uint64_t kMaxCount = 4096;
+
+/// A present param that does not parse, or parses out of range. It fails
+/// the job with a summary that names the param and its value.
+struct BadParam : std::runtime_error {
+    BadParam(const char* key, const std::string& value, const std::string& want)
+        : std::runtime_error(std::string("bad param ") + key + "='" + value +
+                             "': expected " + want) {}
+};
+
+/// A decimal integer in [lo, hi]: no sign, space or base prefix.
+std::uint64_t param_uint(const JobSpec& spec, const char* key,
+                         std::uint64_t def, std::uint64_t lo,
+                         std::uint64_t hi) {
     const auto it = spec.params.find(key);
     if (it == spec.params.end()) return def;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-    return end != it->second.c_str() && *end == '\0' ? v : def;
+    const std::string& s = it->second;
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc() || end != s.data() + s.size() || v < lo || v > hi) {
+        throw BadParam(key, s,
+                       "a decimal integer in [" + std::to_string(lo) + ", " +
+                           std::to_string(hi) + "]");
+    }
+    return v;
 }
 
-unsigned param_u32(const JobSpec& spec, const char* key, unsigned def) {
-    return static_cast<unsigned>(param_u64(spec, key, def));
+unsigned param_count(const JobSpec& spec, const char* key, unsigned def) {
+    return static_cast<unsigned>(param_uint(spec, key, def, 1, kMaxCount));
 }
 
-double param_double(const JobSpec& spec, const char* key, double def) {
+/// A finite number in [0, 1000].
+double param_percent(const JobSpec& spec, const char* key, double def) {
     const auto it = spec.params.find(key);
     if (it == spec.params.end()) return def;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    return end != it->second.c_str() && *end == '\0' ? v : def;
+    const std::string& s = it->second;
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc() || end != s.data() + s.size() ||
+        !(v >= 0.0 && v <= 1000.0)) {
+        throw BadParam(key, s, "a number in [0, 1000]");
+    }
+    return v;
 }
 
 bool param_flag(const JobSpec& spec, const char* key, bool def) {
     const auto it = spec.params.find(key);
     if (it == spec.params.end()) return def;
-    return it->second != "0" && it->second != "false";
+    const std::string& s = it->second;
+    if (s == "1" || s == "true") return true;
+    if (s == "0" || s == "false") return false;
+    throw BadParam(key, s, "0, 1, false or true");
 }
 
 std::string param_str(const JobSpec& spec, const char* key) {
@@ -89,10 +120,10 @@ JobOutcome run_closure_job(const JobSpec& spec, const ExecConfig& cfg,
                            const ExecHooks& hooks,
                            const std::string& resume_blob) {
     ClosureConfig cc;
-    cc.seed = param_u64(spec, "seed", 1);
-    cc.batch_size = param_u32(spec, "batch-size", 12);
-    cc.max_batches = param_u32(spec, "batches", 6);
-    cc.target_percent = param_double(spec, "target", 95.0);
+    cc.seed = param_uint(spec, "seed", 1, 0, UINT64_MAX);
+    cc.batch_size = param_count(spec, "batch-size", 12);
+    cc.max_batches = param_count(spec, "batches", 6);
+    cc.target_percent = param_percent(spec, "target", 95.0);
     cc.bias = param_flag(spec, "bias", true);
     cc.warm_start = param_flag(spec, "warm-start", true);
 
@@ -242,8 +273,9 @@ JobOutcome run_diff_job(const JobSpec& spec, const ExecConfig& cfg,
                         const ExecHooks& hooks,
                         const std::string& resume_blob) {
     campaign::DiffCampaignConfig dc;
-    dc.seed = param_u64(spec, "seed", 1);
-    dc.count = param_u32(spec, "seeds", 20);
+    dc.seed = param_uint(spec, "seed", 1, 0, UINT64_MAX);
+    dc.count = param_count(spec, "seeds", 20);
+    const bool expect_genuine = param_flag(spec, "expect-genuine", false);
     bool known = false;
     const std::string inject = param_str(spec, "inject");
     dc.inject = inject.empty()
@@ -330,7 +362,7 @@ JobOutcome run_diff_job(const JobSpec& spec, const ExecConfig& cfg,
         out.verdicts += d.line;
         out.verdicts += '\n';
     }
-    if (param_flag(spec, "expect-genuine", false) && genuine == 0.0) {
+    if (expect_genuine && genuine == 0.0) {
         out.pass = false;
         out.summary += "!! expect-genuine: no genuine divergence flagged\n";
     }
@@ -356,6 +388,10 @@ JobOutcome run_service_job(const JobSpec& spec, const ExecConfig& cfg,
         JobOutcome out = make_outcome(spec, JobState::kFailed);
         out.summary =
             "unknown job kind '" + spec.kind + "' (valid: closure, diff)";
+        return out;
+    } catch (const BadParam& e) {
+        JobOutcome out = make_outcome(spec, JobState::kFailed);
+        out.summary = e.what();
         return out;
     } catch (const std::exception& e) {
         JobOutcome out = make_outcome(spec, JobState::kFailed);

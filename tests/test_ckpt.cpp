@@ -382,6 +382,61 @@ TEST(Ckpt, MutatedClockResetAndCpuBytesAreRejected) {
     }
 }
 
+// More bytes that no save writes: one byte past the end of a section, and
+// kernel diagnostics that report() cannot leave behind. The kernel section
+// is u64 now, a stop byte, the stop reason, five u64 stats, u64 dropped
+// count, u32 stored count and the stored diagnostics (u64 time and two
+// strings each), then the gate table.
+TEST(Ckpt, AppendedBytesAndUnsavableKernelStatesAreRejected) {
+    const SystemConfig cfg = small_config();
+    DirectRun a(cfg);
+    a.run_to(1000 * cfg.clk_period);
+    const std::string blob = a.blob();
+    ASSERT_EQ(restore_error(cfg, blob), "");
+    using Bytes = std::vector<std::uint8_t>;
+
+    const auto appended = [](Bytes& p) { p.push_back(0); };
+    for (const std::string name : {"clock", "cpu", "signals"}) {
+        EXPECT_EQ(restore_error(cfg, mutate_section(blob, name, appended)),
+                  name + " section corrupt")
+            << "one byte appended to " << name;
+    }
+
+    // A clean run: nothing stored or dropped, so the stored count is the
+    // four bytes before the gate table and the dropped count the eight
+    // before that.
+    const std::size_t nproc = a.sys.sch.processes().size();
+    const auto kernel_with = [&](auto mutate) {
+        return restore_error(cfg, mutate_section(blob, "kernel", [&](Bytes& p) {
+            const std::size_t stored_at = p.size() - 9 * nproc - 8;
+            const auto zero = [](std::uint8_t b) { return b == 0; };
+            ASSERT_TRUE(std::all_of(p.begin() + stored_at - 8,
+                                    p.begin() + stored_at + 4, zero));
+            ASSERT_EQ(p[8], 0u);  // not stopped
+            mutate(p, stored_at);
+        }));
+    };
+    const std::string kKernel = "kernel section corrupt";
+    EXPECT_EQ(kernel_with([](Bytes& p, std::size_t) { p[8] = 2; }), kKernel)
+        << "stop byte 2";
+    EXPECT_EQ(kernel_with([](Bytes& p, std::size_t stored_at) {
+                  const std::uint32_t n = rtlsim::Scheduler::kMaxDiags + 1;
+                  rtlsim::SnapWriter w;
+                  w.u32(n);
+                  std::copy(w.buffer().begin(), w.buffer().end(),
+                            p.begin() + stored_at);
+                  // Each a u64 time of 0 and two empty strings.
+                  p.insert(p.begin() + stored_at + 4, std::size_t{n} * 16, 0);
+              }),
+              kKernel)
+        << "4,097 stored diagnostics";
+    EXPECT_EQ(kernel_with([](Bytes& p, std::size_t stored_at) {
+                  p[stored_at - 1] = 1;
+              }),
+              kKernel)
+        << "dropped 1 with none stored";
+}
+
 // The section table must be exactly what the system registers: an extra,
 // reordered or duplicated section is refused before any state is touched.
 TEST(Ckpt, EditedSectionTableIsRejected) {

@@ -1,6 +1,7 @@
 // Kernel-invariance suite: pins the *observable* behaviour of the
 // simulation kernel so hot-path rewrites (the calendar-queue time wheel,
-// event pooling, delta-queue flattening) are provably behaviour-preserving.
+// event pooling, delta-queue flattening, and the binary-heap event queue
+// that replaced the wheel) are provably behaviour-preserving.
 //
 // The golden SimStats below were captured from the pre-rewrite kernel (the
 // std::map<Time, vector<function>> time wheel) running the canned Testbench

@@ -715,6 +715,54 @@ TEST(SvcExec, UnknownKindFails) {
     EXPECT_NE(out.summary.find("unknown job kind"), std::string::npos);
 }
 
+// A present param that does not parse, or parses out of range, fails the
+// job before it runs anything, and the summary names the param and its
+// value (DESIGN.md §12). Counts are decimal in [1, 4096], `seed` is an
+// unsigned u64, `target` a finite number in [0, 1000], and a flag is 0, 1,
+// false or true.
+TEST(SvcExec, MalformedParamsFailTheJob) {
+    struct Case {
+        const char* kind;
+        const char* key;
+        const char* value;
+    };
+    const Case cases[] = {
+        {"diff", "seeds", "abc"},
+        {"diff", "seeds", "4294967298"},
+        {"diff", "seeds", "-1"},
+        {"diff", "seeds", "0"},
+        {"diff", "seeds", "4097"},
+        {"diff", "seeds", "0x10"},
+        {"diff", "seeds", "+2"},
+        {"diff", "seeds", " 2"},
+        {"diff", "seeds", ""},
+        {"diff", "seed", "-1"},
+        {"diff", "seed", "18446744073709551616"},
+        {"diff", "expect-genuine", "yes"},
+        {"closure", "batches", "0"},
+        {"closure", "batch-size", "1000000000"},
+        {"closure", "target", "nan"},
+        {"closure", "target", "inf"},
+        {"closure", "target", "-1"},
+        {"closure", "target", "1000.5"},
+        {"closure", "target", "95%"},
+        {"closure", "bias", "no"},
+        {"closure", "warm-start", "2"},
+    };
+    for (const Case& c : cases) {
+        JobSpec spec;
+        spec.kind = c.kind;
+        spec.params = {{"seed", "3"}, {"seeds", "2"}, {"batches", "1"},
+                       {"batch-size", "2"}};
+        spec.params[c.key] = c.value;
+        const JobOutcome out =
+            run_service_job(spec, ExecConfig{}, ExecHooks{}, std::string());
+        const std::string named = std::string(c.key) + "='" + c.value + "'";
+        EXPECT_EQ(out.state, JobState::kFailed) << c.kind << ' ' << named;
+        EXPECT_NE(out.summary.find(named), std::string::npos) << out.summary;
+    }
+}
+
 TEST(SvcExec, CancelledBetweenUnits) {
     JobSpec spec;
     spec.kind = "closure";

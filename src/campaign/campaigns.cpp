@@ -214,6 +214,8 @@ std::vector<SimJob> resim_no_x_jobs(const sys::SystemConfig& base,
             sys::Testbench tb(cfg);
             tb.sys.rr.set_error_injector(std::make_unique<NoErrorInjector>());
             tb.set_cancel_flag(ctx.cancel_flag());
+            // The job keeps only !clean(): stop once that is decided.
+            tb.set_stop_at_verdict(true);
             const sys::RunResult r = tb.run(frames);
             JobReport rep = report_from_run(r);
             const bool detected = !r.clean();

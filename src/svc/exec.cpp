@@ -2,7 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -14,6 +13,7 @@
 
 #include "campaign/campaigns.hpp"
 #include "campaign/closure.hpp"
+#include "campaign/parse.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sink.hpp"
 #include "ckpt/checkpoint.hpp"
@@ -30,10 +30,6 @@ using campaign::ClosureConfig;
 using campaign::ClosureLoop;
 using campaign::JobRecord;
 
-/// Largest `seeds`, `batches` or `batch-size` a job may ask for: each
-/// sizes an allocation, so a wire frame must not choose it unbounded.
-constexpr std::uint64_t kMaxCount = 4096;
-
 /// A present param that does not parse, or parses out of range. It fails
 /// the job with a summary that names the param and its value.
 struct BadParam : std::runtime_error {
@@ -42,39 +38,33 @@ struct BadParam : std::runtime_error {
                              "': expected " + want) {}
 };
 
-/// A decimal integer in [lo, hi]: no sign, space or base prefix.
+/// A decimal integer in [lo, hi] (campaign::parse_decimal).
 std::uint64_t param_uint(const JobSpec& spec, const char* key,
                          std::uint64_t def, std::uint64_t lo,
                          std::uint64_t hi) {
     const auto it = spec.params.find(key);
     if (it == spec.params.end()) return def;
-    const std::string& s = it->second;
-    std::uint64_t v = 0;
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc() || end != s.data() + s.size() || v < lo || v > hi) {
-        throw BadParam(key, s,
+    const auto v = campaign::parse_decimal(it->second, lo, hi);
+    if (!v) {
+        throw BadParam(key, it->second,
                        "a decimal integer in [" + std::to_string(lo) + ", " +
                            std::to_string(hi) + "]");
     }
-    return v;
+    return *v;
 }
 
 unsigned param_count(const JobSpec& spec, const char* key, unsigned def) {
-    return static_cast<unsigned>(param_uint(spec, key, def, 1, kMaxCount));
+    return static_cast<unsigned>(
+        param_uint(spec, key, def, 1, campaign::kMaxCount));
 }
 
 /// A finite number in [0, 1000].
 double param_percent(const JobSpec& spec, const char* key, double def) {
     const auto it = spec.params.find(key);
     if (it == spec.params.end()) return def;
-    const std::string& s = it->second;
-    double v = 0.0;
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc() || end != s.data() + s.size() ||
-        !(v >= 0.0 && v <= 1000.0)) {
-        throw BadParam(key, s, "a number in [0, 1000]");
-    }
-    return v;
+    const auto v = campaign::parse_finite(it->second, 0.0, 1000.0);
+    if (!v) throw BadParam(key, it->second, "a number in [0, 1000]");
+    return *v;
 }
 
 bool param_flag(const JobSpec& spec, const char* key, bool def) {

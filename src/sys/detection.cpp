@@ -65,12 +65,14 @@ DetectionOutcome run_detection(const SystemConfig& base, Fault f,
     vm_cfg.method = FirmwareConfig::Method::kVm;
     Testbench vm_tb(vm_cfg);
     vm_tb.set_cancel_flag(cancel);
+    vm_tb.set_stop_at_verdict(true);
     out.vm = vm_tb.run(frames);
 
     SystemConfig rs_cfg = config_for_fault(base, f);
     rs_cfg.method = FirmwareConfig::Method::kResim;
     Testbench rs_tb(rs_cfg);
     rs_tb.set_cancel_flag(cancel);
+    rs_tb.set_stop_at_verdict(true);
     out.resim = rs_tb.run(frames);
     return out;
 }

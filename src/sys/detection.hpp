@@ -41,8 +41,10 @@ struct DetectionOutcome {
 /// top of a base configuration.
 [[nodiscard]] SystemConfig config_for_fault(SystemConfig base, Fault f);
 
-/// Run one fault under both methods. `cancel`, when non-null, is polled by
-/// both runs (cooperative abort for batch supervisors).
+/// Run one fault under both methods. Each side stops at its verdict
+/// (Testbench::set_stop_at_verdict): a detection keeps only the two
+/// booleans. `cancel`, when non-null, is polled by both runs (cooperative
+/// abort for batch supervisors).
 [[nodiscard]] DetectionOutcome run_detection(
     const SystemConfig& base, Fault f, unsigned frames = 2,
     const std::atomic<bool>* cancel = nullptr);

@@ -29,6 +29,30 @@ video::SceneConfig scene_config(const SystemConfig& cfg, std::uint32_t seed) {
 
 }  // namespace
 
+std::uint64_t progress_budget(const SystemConfig& cfg) {
+    // Measured clean stretches: the camera frame plus census pass and the
+    // drawing pass take about 2.7 cycles a pixel, the motion search about
+    // 1.5 a pixel plus one a candidate, a SimB word max(icap_clk_div, 2)
+    // cycles, and a delay-loop pass one cycle. Each term below bounds its
+    // stage with room to spare, and a stretch spans at most these stages.
+    const video::MatchConfig mc = match_config(cfg);
+    const std::uint64_t px = std::uint64_t{cfg.width} * cfg.height;
+    const std::uint64_t span = 2 * std::uint64_t{cfg.search} + 1;
+    const std::uint64_t candidates = std::uint64_t{video::grid_points(
+                                         cfg.width, mc)} *
+                                     video::grid_points(cfg.height, mc) *
+                                     span * span;
+    constexpr std::uint64_t kFixed = 2048;  // reset, boot and the ISR
+    std::uint64_t stretch = kFixed + 4 * px + 2 * candidates +
+                            std::uint64_t{cfg.simb_payload_words} *
+                                (cfg.icap_clk_div + 2);
+    if (cfg.wait == FirmwareConfig::Wait::kDelay) {
+        stretch += 2 * std::uint64_t{cfg.delay_loops};
+    }
+    constexpr std::uint64_t kMargin = 4;
+    return kMargin * stretch;
+}
+
 std::string RunResult::verdict() const {
     if (clean()) return "clean";
     std::string v;
@@ -91,13 +115,7 @@ RunResult Testbench::run(unsigned frames, std::uint64_t watchdog_cycles) {
     RunResult res;
     res.frames_requested = frames;
 
-    if (watchdog_cycles == 0) {
-        // Generous budget: engines are ~cycle/pixel and ~cycle/candidate;
-        // the CPU adds drawing and ISR overhead on top.
-        const std::uint64_t px = std::uint64_t{cfg.width} * cfg.height;
-        const unsigned span = 2 * cfg.search + 1;
-        watchdog_cycles = 200000 + px * (30 + span * span);
-    }
+    if (watchdog_cycles == 0) watchdog_cycles = progress_budget(cfg);
 
     // Hard cap: runaway failure modes (e.g. an interrupt storm) keep the
     // mailbox counters moving, so the progress watchdog alone cannot bound
@@ -206,6 +224,10 @@ RunResult Testbench::run(unsigned frames, std::uint64_t watchdog_cycles) {
                     });
             }
             ++frames_checked;
+        }
+        if (stop_at_verdict_ &&
+            (res.data_corruption() || !sys.sch.diagnostics().empty())) {
+            break;
         }
         if (frames_checked >= frames && !sys.video_out.busy()) break;
 

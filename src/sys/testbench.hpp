@@ -89,6 +89,13 @@ struct RunResult {
     [[nodiscard]] std::string verdict() const;
 };
 
+/// Cycles without mailbox progress after which a run is reported hung: a
+/// margin of 4 over the longest stretch a clean run of `cfg`'s shape can go
+/// without progress. That stretch is bounded by the sum of four terms: the
+/// engines (pixels and search candidates), the SimB transfer, the delay
+/// driver's loop and a fixed allowance for reset, boot and the ISR.
+[[nodiscard]] std::uint64_t progress_budget(const SystemConfig& cfg);
+
 class Testbench {
 public:
     /// `scene_seed` = 0 (the default) derives the scene texture seed from
@@ -97,13 +104,20 @@ public:
     explicit Testbench(SystemConfig cfg, std::uint32_t scene_seed = 0);
 
     /// Process `frames` video frames end to end. `watchdog_cycles` = 0
-    /// derives a budget from the frame geometry.
+    /// uses progress_budget(config).
     RunResult run(unsigned frames, std::uint64_t watchdog_cycles = 0);
 
     /// Cooperative cancellation for batch drivers: when the flag is set
     /// (e.g. by a campaign watchdog on another thread), the run loop aborts
     /// at the next quantum and the result reports a watchdog timeout.
     void set_cancel_flag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
+
+    /// Stop at the verdict: run() returns at the end of the first quantum
+    /// whose evidence already makes the run unclean (a scheduler diagnostic
+    /// or a census, field or output mismatch). Evidence is never withdrawn,
+    /// so clean() reads the same as for the whole run, and a clean run never
+    /// stops early. Off by default, for callers that read the whole run.
+    void set_stop_at_verdict(bool on) { stop_at_verdict_ = on; }
 
     OpticalFlowSystem sys;
     video::SyntheticScene scene;
@@ -120,6 +134,7 @@ private:
 
     unsigned frames_sent_ = 0;
     const std::atomic<bool>* cancel_ = nullptr;
+    bool stop_at_verdict_ = false;
     // VCD dumping (active when SystemConfig::vcd_path is set).
     std::unique_ptr<std::ofstream> vcd_file_;
     std::unique_ptr<rtlsim::Tracer> tracer_;

@@ -2,6 +2,10 @@
 // be detected (or escape) exactly as the paper reports.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "sys/detection.hpp"
 
 namespace autovision::sys {
@@ -43,6 +47,122 @@ INSTANTIATE_TEST_SUITE_P(
             if (c == '.') c = '_';
         }
         return id;
+    });
+
+// Stopping at the verdict changes no verdict. For every catalogued fault
+// (and none) under both methods, run_detection's side, which stops at its
+// first failure, agrees on clean() with the whole run and never runs
+// longer; a fault-free side never stops early, so its SimStats are the
+// whole run's. bug.sw.2's interrupt storm keeps the mailbox moving, so
+// without the stop its sides would run to the hard cap.
+TEST(FaultMatrix, StopAtVerdictChangesNoVerdict) {
+    std::vector<Fault> faults{Fault::kNone};
+    for (const FaultInfo& fi : kFaultCatalog) faults.push_back(fi.fault);
+    for (const Fault f : faults) {
+        const DetectionOutcome o = run_detection(detection_config(), f, 2);
+        for (const auto method :
+             {FirmwareConfig::Method::kVm, FirmwareConfig::Method::kResim}) {
+            const bool vm = method == FirmwareConfig::Method::kVm;
+            const RunResult& stopped = vm ? o.vm : o.resim;
+            SystemConfig cfg = config_for_fault(detection_config(), f);
+            cfg.method = method;
+            Testbench tb(cfg);
+            const RunResult whole = tb.run(2);
+            const std::string side =
+                std::string(fault_info(f).id) + (vm ? " VM" : " ReSim");
+            EXPECT_EQ(stopped.clean(), whole.clean())
+                << side << ": stopped " << stopped.verdict() << ", whole "
+                << whole.verdict();
+            EXPECT_LE(stopped.sim_time, whole.sim_time) << side;
+            if (f == Fault::kNone) {
+                EXPECT_TRUE(stopped.stats == whole.stats) << side;
+            }
+            if (f == Fault::kSw2NoIntcAck) {
+                EXPECT_LE(stopped.sim_time, 10000 * cfg.clk_period) << side;
+            }
+        }
+    }
+}
+
+// progress_budget keeps a 4x margin over every clean shape: with a quarter
+// of the budget as the watchdog, each corner still runs clean.
+struct BudgetShape {
+    std::string name;
+    SystemConfig cfg;
+    unsigned frames = 2;
+};
+
+std::vector<BudgetShape> budget_shapes() {
+    using Method = FirmwareConfig::Method;
+    using Wait = FirmwareConfig::Wait;
+    std::vector<BudgetShape> shapes;
+    for (const Method m : {Method::kVm, Method::kResim}) {
+        const std::string tag = m == Method::kVm ? "Vm" : "Resim";
+        SystemConfig small = detection_config();
+        small.method = m;
+        shapes.push_back({"Small32x24" + tag, small});
+        SystemConfig large = small;
+        large.width = 64;
+        large.height = 48;
+        large.search = 3;
+        shapes.push_back({"Large64x48Search3" + tag, large});
+        for (const std::uint32_t words : {50u, 2048u}) {
+            for (const unsigned div : {1u, 8u}) {
+                SystemConfig c = small;
+                c.simb_payload_words = words;
+                c.icap_clk_div = div;
+                shapes.push_back({"Simb" + std::to_string(words) + "Div" +
+                                      std::to_string(div) + tag,
+                                  c});
+            }
+        }
+        SystemConfig poll = small;
+        poll.wait = Wait::kPollDone;
+        shapes.push_back({"PollDone" + tag, poll});
+        // The delay driver with a loop count that covers the transfer at
+        // its divider (DESIGN's bug.dpr.6b fix), up to the longest.
+        const struct { unsigned div; std::uint32_t loops; } delays[] = {
+            {1, 400}, {4, 6000}, {8, 48000}};
+        for (const auto& d : delays) {
+            SystemConfig c = small;
+            c.wait = Wait::kDelay;
+            c.icap_clk_div = d.div;
+            c.delay_loops = d.loops;
+            shapes.push_back({"Delay" + std::to_string(d.loops) + "Div" +
+                                  std::to_string(d.div) + tag,
+                              c});
+        }
+    }
+    SystemConfig pool = detection_config();
+    pool.regions = 3;
+    shapes.push_back({"ThreeRegionPool", pool});
+    SystemConfig host = detection_config();
+    host.host_io = true;
+    host.exit_after_frames = 2;
+    shapes.push_back({"HostIoExitAfterFrames", host});
+    SystemConfig table2;
+    table2.width = 320;
+    table2.height = 200;
+    table2.search = 2;
+    shapes.push_back({"TableIIFrame", table2, 1});
+    return shapes;
+}
+
+void PrintTo(const BudgetShape& s, std::ostream* os) { *os << s.name; }
+
+class ProgressBudget : public ::testing::TestWithParam<BudgetShape> {};
+
+TEST_P(ProgressBudget, CleanShapeKeepsFourfoldMargin) {
+    const BudgetShape& s = GetParam();
+    Testbench tb(s.cfg);
+    const RunResult r = tb.run(s.frames, progress_budget(s.cfg) / 4);
+    EXPECT_TRUE(r.clean()) << s.name << ": " << r.verdict();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corners, ProgressBudget, ::testing::ValuesIn(budget_shapes()),
+    [](const ::testing::TestParamInfo<BudgetShape>& info) {
+        return info.param.name;
     });
 
 // Detection must be robust to the driver style: the static bugs are caught

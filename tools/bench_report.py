@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Run the kernel benchmark suite and emit a single merged JSON report.
 
-Runs ``bench_kernel``, ``bench_frame_sim`` and ``bench_obs_overhead`` (all
-Google Benchmark binaries) with ``--benchmark_format=json`` and merges their
-results into one document — the format committed as ``bench/baseline.json`` and produced by
-CI for ``tools/bench_compare.py`` to gate on.
+Runs ``bench_kernel``, ``bench_frame_sim``, ``bench_obs_overhead``,
+``bench_ckpt`` and ``bench_iss`` (all Google Benchmark binaries) with
+``--benchmark_format=json``, each benchmark repeated ``REPETITIONS`` times
+with only the aggregates reported, and merges their results into one
+document — the format committed as ``bench/baseline.json`` and produced by
+CI for ``tools/bench_compare.py`` to gate on. Each row records the median
+``real_time`` and ``cpu_time`` of the repetitions, with the coefficient of
+variation of ``real_time`` (``cv``, a ratio) beside them.
 
 Usage:
     tools/bench_report.py [--build-dir build] [--out report.json]
@@ -22,6 +26,9 @@ from pathlib import Path
 
 BENCH_BINARIES = ["bench_kernel", "bench_frame_sim", "bench_obs_overhead",
                   "bench_ckpt", "bench_iss"]
+# A single run of a few-nanosecond row can land past the gate's threshold
+# on unchanged code, so each row is the median of five.
+REPETITIONS = 5
 
 
 def run_benchmark(binary: Path, min_time: float) -> dict:
@@ -29,6 +36,8 @@ def run_benchmark(binary: Path, min_time: float) -> dict:
         str(binary),
         "--benchmark_format=json",
         f"--benchmark_min_time={min_time}",
+        f"--benchmark_repetitions={REPETITIONS}",
+        "--benchmark_report_aggregates_only=true",
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -61,14 +70,22 @@ def main() -> int:
         report["context"].setdefault("mhz_per_cpu", ctx.get("mhz_per_cpu"))
         report["context"].setdefault("library_build_type",
                                      ctx.get("library_build_type"))
+        aggregates = {}
         for b in doc.get("benchmarks", []):
             if b.get("run_type") == "aggregate":
+                aggregates[(b["run_name"], b["aggregate_name"])] = b
+        for (run_name, agg), b in aggregates.items():
+            if agg != "median":
                 continue
-            report["benchmarks"][b["name"]] = {
+            cv = aggregates.get((run_name, "cv"))
+            if cv is None:
+                raise SystemExit(f"{name}: no cv aggregate for {run_name}")
+            report["benchmarks"][run_name] = {
                 "binary": name,
                 "real_time": b["real_time"],
                 "cpu_time": b["cpu_time"],
                 "time_unit": b["time_unit"],
+                "cv": cv["real_time"],
             }
 
     text = json.dumps(report, indent=2, sort_keys=False) + "\n"

@@ -16,18 +16,22 @@
 // atomic line per job) and are rolled up into the printed aggregate. The
 // `faults` campaign reprints the Table III detection matrix from the job
 // records — byte-for-byte the same verdicts as `bench_bug_detection`.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <fstream>
 
 #include "campaign/campaigns.hpp"
 #include "campaign/closure.hpp"
+#include "campaign/parse.hpp"
 #include "campaign/pool.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sink.hpp"
@@ -91,8 +95,8 @@ void usage(const char* argv0) {
         "             random scenario per seed run through both methods,\n"
         "             divergences classified, genuine ones shrunk\n"
         "\n"
-        "options:\n"
-        "  --jobs N        worker threads (default 0 = hardware"
+        "options (numbers are decimal, with no sign or base prefix):\n"
+        "  --jobs N        worker threads, 0..256 (default 0 = hardware"
         " concurrency)\n"
         "  --timeout-ms T  per-attempt wall-clock budget (default 0 ="
         " no watchdog)\n"
@@ -103,7 +107,8 @@ void usage(const char* argv0) {
         "                  order (byte-comparable across runs and against a\n"
         "                  resumed campaign-service run of the same batch)\n"
         "  --frames F      frames per run where applicable (default 2)\n"
-        "  --seeds N       seed count for the seeds campaign (default 8)\n"
+        "  --seeds N       seed count for the seeds campaign, 1..4096"
+        " (default 8)\n"
         "  --trace         record structured simulation events; obs.*\n"
         "                  metrics (swap latency, X-window, ...) land in\n"
         "                  the JSONL records and the printed aggregate\n"
@@ -114,9 +119,10 @@ void usage(const char* argv0) {
         "closure options:\n"
         "  --cover-out F   write the merged coverage JSON to F\n"
         "  --seed S        campaign seed (default 1)\n"
-        "  --batches N     batch budget (default 6)\n"
-        "  --batch-size N  scenarios per batch (default 12)\n"
-        "  --target P      stop at P%% goal-bin coverage (default 95)\n"
+        "  --batches N     batch budget, 1..4096 (default 6)\n"
+        "  --batch-size N  scenarios per batch, 1..4096 (default 12)\n"
+        "  --target P      stop at P%% goal-bin coverage, 0..1000"
+        " (default 95)\n"
         "  --no-bias       pure-random control arm (no coverage feedback)\n"
         "\n"
         "diff options (--seed seeds the batch, --seeds counts jobs):\n"
@@ -145,6 +151,8 @@ void usage(const char* argv0) {
         argv0);
 }
 
+constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+
 constexpr const char* kKnownCampaigns[] = {"faults",  "simb",    "workload",
                                            "seeds",   "closure", "diff"};
 
@@ -160,14 +168,6 @@ bool write_verdicts(const std::string& path,
     for (const JobRecord& rec : records) os << to_verdict_line(rec) << '\n';
     std::printf("verdicts: %s (%zu lines)\n", path.c_str(), records.size());
     return os.good();
-}
-
-bool parse_unsigned(const char* s, unsigned& out) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 10);
-    if (end == s || *end != '\0') return false;
-    out = static_cast<unsigned>(v);
-    return true;
 }
 
 /// Table III from the faults-campaign records (same shape and verdict
@@ -359,39 +359,51 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
-        bool ok = true;
+        // Numbers go through the service's strict parsers and bounds
+        // (DESIGN §12). `want` names a good value once one was refused.
+        const char* value = nullptr;
+        std::string want;
+        const auto decimal = [&](auto& out, std::uint64_t lo,
+                                 std::uint64_t hi) {
+            value = next();
+            if (const auto v = parse_decimal(value, lo, hi)) {
+                out = static_cast<std::remove_reference_t<decltype(out)>>(*v);
+            } else {
+                want = "a decimal integer in [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "]";
+            }
+        };
         if (a == "--campaign") {
             opt.campaign = next();
         } else if (a == "--jobs") {
-            ok = parse_unsigned(next(), opt.jobs);
+            decimal(opt.jobs, 0, 256);
         } else if (a == "--timeout-ms") {
-            ok = parse_unsigned(next(), opt.timeout_ms);
+            decimal(opt.timeout_ms, 0, kUnsignedMax);
         } else if (a == "--retries") {
-            ok = parse_unsigned(next(), opt.retries);
+            decimal(opt.retries, 0, kUnsignedMax);
         } else if (a == "--out") {
             opt.out = next();
         } else if (a == "--verdicts-out") {
             opt.verdicts_out = next();
         } else if (a == "--frames") {
-            ok = parse_unsigned(next(), opt.frames);
+            decimal(opt.frames, 0, kUnsignedMax);
         } else if (a == "--seeds") {
-            ok = parse_unsigned(next(), opt.seeds);
+            decimal(opt.seeds, 1, kMaxCount);
         } else if (a == "--cover-out") {
             opt.cover_out = next();
         } else if (a == "--seed") {
-            char* end = nullptr;
-            const char* v = next();
-            opt.seed = std::strtoull(v, &end, 0);
-            ok = end != v && *end == '\0';
+            decimal(opt.seed, 0, UINT64_MAX);
         } else if (a == "--batches") {
-            ok = parse_unsigned(next(), opt.batches);
+            decimal(opt.batches, 1, kMaxCount);
         } else if (a == "--batch-size") {
-            ok = parse_unsigned(next(), opt.batch_size);
+            decimal(opt.batch_size, 1, kMaxCount);
         } else if (a == "--target") {
-            char* end = nullptr;
-            const char* v = next();
-            opt.target = std::strtod(v, &end);
-            ok = end != v && *end == '\0';
+            value = next();
+            if (const auto v = parse_finite(value, 0.0, 1000.0)) {
+                opt.target = *v;
+            } else {
+                want = "a number in [0, 1000]";
+            }
         } else if (a == "--no-bias") {
             opt.bias = false;
         } else if (a == "--inject") {
@@ -407,10 +419,7 @@ int main(int argc, char** argv) {
         } else if (a == "--ckpt-in") {
             opt.ckpt_in = next();
         } else if (a == "--ckpt-at") {
-            char* end = nullptr;
-            const char* v = next();
-            opt.ckpt_at = std::strtoull(v, &end, 0);
-            ok = end != v && *end == '\0' && opt.ckpt_at != 0;
+            decimal(opt.ckpt_at, 1, UINT64_MAX);
         } else if (a == "--no-warm-start") {
             opt.no_warm_start = true;
         } else if (a == "--trace") {
@@ -428,8 +437,9 @@ int main(int argc, char** argv) {
             usage(argv[0]);
             return 2;
         }
-        if (!ok) {
-            std::fprintf(stderr, "bad value for %s\n", a.c_str());
+        if (!want.empty()) {
+            std::fprintf(stderr, "bad value %s='%s': expected %s\n",
+                         a.c_str(), value, want.c_str());
             return 2;
         }
     }

@@ -4,6 +4,8 @@
 // the detection matrix plus the per-method totals that the paper reports:
 // Virtual Multiplexing finds the static bugs (and raises one false alarm);
 // ReSim additionally finds every DPR bug and the DPR-driver software bugs.
+// The totals count the paper's 11 faults; the ISS-layer classes
+// bug.sw.3-sw.5 are tallied apart (campaign::print_fault_table).
 //
 // A third column reproduces the DESIGN.md ablation: ReSim with X injection
 // disabled (a 2-state simulator's view) silently passes the isolation bug —
@@ -13,8 +15,7 @@
 // the VM+ReSim pair, one per fault for the no-X ablation, fanned out over
 // the worker pool (each job builds its own isolated Testbench).
 #include <cstdio>
-#include <map>
-#include <string>
+#include <iterator>
 
 #include "campaign/campaigns.hpp"
 #include "campaign/runner.hpp"
@@ -38,60 +39,7 @@ int main() {
     CampaignRunner runner({});  // defaults: hardware concurrency, no watchdog
     const CampaignResult result = runner.run(jobs);
 
-    std::map<std::string, const JobRecord*> by_name;
-    for (const JobRecord& r : result.records) by_name[r.name] = &r;
-
-    unsigned vm_static = 0;
-    unsigned vm_false = 0;
-    unsigned resim_sw = 0;
-    unsigned resim_dpr = 0;
-    unsigned mismatches = 0;
-
-    std::printf("%-12s | %-10s | %-10s | %-22s | %s\n", "bug", "VM",
-                "ReSim", "ReSim w/o X (2-state)", "description");
-    std::printf("-------------+------------+------------+------------------"
-                "------+------------\n");
-    for (const sys::FaultInfo& fi : sys::kFaultCatalog) {
-        const JobRecord* f = by_name[std::string("fault.") + fi.id];
-        const JobRecord* nx = by_name[std::string("nox.") + fi.id];
-        const bool vm_det = f->report.metrics.at("vm_detected") != 0.0;
-        const bool rs_det = f->report.metrics.at("resim_detected") != 0.0;
-        const bool nx_det = nx->report.metrics.at("nox_detected") != 0.0;
-        std::printf("%-12s | %-10s | %-10s | %-22s | %s\n", fi.id,
-                    vm_det ? "DETECTED" : "passed",
-                    rs_det ? "DETECTED" : "passed",
-                    nx_det ? "DETECTED" : "passed", fi.description);
-        if (!f->passed()) {
-            ++mismatches;
-            std::printf("    !! expectation mismatch: %s\n",
-                        f->report.verdict.c_str());
-        }
-        const std::string id = fi.id;
-        if (vm_det) {
-            if (fi.expected == sys::ExpectedDetection::kVmFalseAlarm) {
-                ++vm_false;
-            } else {
-                ++vm_static;
-            }
-        }
-        if (rs_det) {
-            if (id.find("dpr") != std::string::npos) {
-                ++resim_dpr;
-            } else {
-                ++resim_sw;
-            }
-        }
-    }
-
-    std::printf("\n==== Section V-A counts ====\n");
-    std::printf("  VM-detected real bugs (static design):     %u  (paper: 3)\n",
-                vm_static);
-    std::printf("  VM false alarms (simulation artefact):     %u  (paper: 1, bug.hw.2)\n",
-                vm_false);
-    std::printf("  ReSim-detected software/static bugs:        %u\n", resim_sw);
-    std::printf("  ReSim-detected DPR bugs:                    %u  (paper: 6)\n",
-                resim_dpr);
-    std::printf("  expectation mismatches:                     %u\n", mismatches);
+    const unsigned mismatches = print_fault_table(result.records);
     std::printf("\nablation: without X injection, bug.dpr.1 (isolation) "
                 "escapes — see the third column.\n");
     std::printf("\ncampaign rollup:\n%s", result.summary.table().c_str());

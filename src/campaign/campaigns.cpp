@@ -1,5 +1,7 @@
 #include "campaigns.hpp"
 
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -189,6 +191,76 @@ std::vector<SimJob> fault_catalog_jobs(const sys::SystemConfig& base,
         jobs.push_back(std::move(job));
     }
     return jobs;
+}
+
+unsigned print_fault_table(const std::vector<JobRecord>& records) {
+    std::map<std::string, const JobRecord*> by_name;
+    for (const JobRecord& r : records) by_name[r.name] = &r;
+    const auto find = [&by_name](const char* prefix, const char* id) {
+        const auto it = by_name.find(std::string(prefix) + id);
+        return it != by_name.end() ? it->second : nullptr;
+    };
+
+    std::printf("%-12s | %-10s | %-10s | %-22s | %s\n", "bug", "VM", "ReSim",
+                "ReSim w/o X (2-state)", "description");
+    std::printf("-------------+------------+------------+------------------"
+                "------+------------\n");
+    struct Tally {
+        unsigned faults = 0, vm_real = 0, vm_false = 0, resim_sw = 0,
+                 resim_dpr = 0;
+    };
+    Tally paper;
+    Tally iss;  // bug.sw.3-sw.5
+    unsigned mismatches = 0;
+    for (const sys::FaultInfo& fi : sys::kFaultCatalog) {
+        const JobRecord* f = find("fault.", fi.id);
+        const JobRecord* nx = find("nox.", fi.id);
+        if (f == nullptr || nx == nullptr) continue;
+        const bool vm_det = f->report.metrics.at("vm_detected") != 0.0;
+        const bool rs_det = f->report.metrics.at("resim_detected") != 0.0;
+        const bool nx_det = nx->report.metrics.at("nox_detected") != 0.0;
+        std::printf("%-12s | %-10s | %-10s | %-22s | %s\n", fi.id,
+                    vm_det ? "DETECTED" : "passed",
+                    rs_det ? "DETECTED" : "passed",
+                    nx_det ? "DETECTED" : "passed", fi.description);
+        if (!f->passed()) {
+            ++mismatches;
+            std::printf("    !! expectation mismatch: %s\n",
+                        f->report.verdict.c_str());
+        }
+        Tally& t = sys::in_paper(fi.fault) ? paper : iss;
+        ++t.faults;
+        if (vm_det) {
+            if (fi.expected == sys::ExpectedDetection::kVmFalseAlarm) {
+                ++t.vm_false;
+            } else {
+                ++t.vm_real;
+            }
+        }
+        if (rs_det) {
+            if (std::string(fi.id).find("dpr") != std::string::npos) {
+                ++t.resim_dpr;
+            } else {
+                ++t.resim_sw;
+            }
+        }
+    }
+
+    std::printf("\n==== Section V-A counts: the paper's %u faults ====\n",
+                paper.faults);
+    std::printf("  VM-detected real bugs (static design):     %u  (paper: 3)\n",
+                paper.vm_real);
+    std::printf("  VM false alarms (simulation artefact):     %u  (paper: 1,"
+                " bug.hw.2)\n", paper.vm_false);
+    std::printf("  ReSim-detected software/static bugs:        %u\n",
+                paper.resim_sw);
+    std::printf("  ReSim-detected DPR bugs:                    %u  (paper:"
+                " 6)\n", paper.resim_dpr);
+    std::printf("  ISS-layer classes bug.sw.3-sw.5 (%u, not in the paper):"
+                " VM %u, ReSim %u\n", iss.faults, iss.vm_real, iss.resim_sw);
+    std::printf("  expectation mismatches:                     %u\n",
+                mismatches);
+    return mismatches;
 }
 
 std::vector<SimJob> resim_no_x_jobs(const sys::SystemConfig& base,

@@ -42,6 +42,14 @@ namespace autovision::campaign {
 [[nodiscard]] std::vector<SimJob> resim_no_x_jobs(
     const sys::SystemConfig& base, unsigned frames = 2);
 
+/// Print Table III (one row per catalogued fault, catalogue order) and the
+/// Section V-A tally from the records of fault_catalog_jobs() and
+/// resim_no_x_jobs(); a fault without both records is left out. The tally
+/// counts the paper's faults, so each "(paper: N)" compares like with like,
+/// and the ISS-layer classes on a line of their own. Returns the number of
+/// expectation mismatches.
+unsigned print_fault_table(const std::vector<JobRecord>& records);
+
 /// SimB payload-length sweep on the minimal DPR testbench (no CPU): the
 /// reconfiguration delay must scale with bitstream length and the swap must
 /// complete. Metrics: payload_words, total_words, dpr_ms, swap; with

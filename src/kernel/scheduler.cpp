@@ -14,18 +14,13 @@ Process::Process(Scheduler& sch, std::string name, std::function<void()> fn)
     sch_.register_process(this);
 }
 
-void Process::notify() { sch_.notify_process(this, index_); }
+void Process::notify() { sch_.notify_from_body(this); }
 
-bool Process::run_profiled() {
-    if (gated_) {
-        ++skipped_;
-        return false;
-    }
+void Process::invoke_profiled() {
     ++invocations_;
     const auto t0 = std::chrono::steady_clock::now();
     fn_();
     self_time_ += std::chrono::steady_clock::now() - t0;
-    return true;
 }
 
 // -------------------------------------------------------------- SignalBase
@@ -41,6 +36,7 @@ SignalBase::~SignalBase() {
 }
 
 void SignalBase::notify_listeners(bool rising, bool falling) {
+    if (sch_.edge_sig_ != nullptr) sch_.flush_edge();
     for (const Listener& l : listeners_) {
         switch (l.edge) {
             case Edge::Any: sch_.notify_process(l.proc, l.idx); break;
@@ -50,7 +46,7 @@ void SignalBase::notify_listeners(bool rising, bool falling) {
             case Edge::Neg:
                 if (falling) sch_.notify_process(l.proc, l.idx);
                 break;
-            case Edge::Wake: l.proc->wake(); break;
+            case Edge::Wake: sch_.gate_flags_[l.idx] = 0; break;
         }
     }
 }
@@ -90,6 +86,40 @@ void Scheduler::schedule_at(Time t, std::function<void()> fn) {
     queue_.push(ev);
 }
 
+void Scheduler::notify_from_body(Process* p) {
+    // The ordinary queue sets every member's scheduled flag at fan-out and
+    // clears it just before the member runs, so a notify() lands as a no-op
+    // on a member still ahead and queues one already passed for the next
+    // delta. A walk reproduces that by looking ahead of its position.
+    if (edge_sig_ != nullptr) {
+        const std::vector<SignalBase::Listener>& ls = edge_sig_->listeners_;
+        for (std::size_t i = walk_pos_ + 1; i < walk_end_; ++i) {
+            if (ls[i].proc == p) return;
+        }
+    }
+    notify_process(p, p->index_);
+}
+
+void Scheduler::flush_edge() {
+    const SignalBase* s = edge_sig_;
+    edge_sig_ = nullptr;
+    for (const SignalBase::Listener& l : s->listeners_) {
+        notify_process(l.proc, l.idx);
+    }
+}
+
+void Scheduler::run_edge() {
+    // Indexed, not iterated: a body may add listeners to the signal. Those
+    // join at the next edge, as they would have missed this fan-out.
+    const std::vector<SignalBase::Listener>& ls = edge_sig_->listeners_;
+    walk_end_ = ls.size();
+    for (walk_pos_ = 0; walk_pos_ < walk_end_; ++walk_pos_) {
+        const SignalBase::Listener& l = ls[walk_pos_];
+        if (open(l.idx)) l.proc->invoke();
+    }
+    edge_sig_ = nullptr;
+}
+
 bool Scheduler::commit_and_notify(std::uint32_t ref) {
     const std::uint32_t slot = SignalStore::slot_of(ref);
     switch (SignalStore::kind_of(ref)) {
@@ -103,7 +133,19 @@ bool Scheduler::commit_and_notify(std::uint32_t ref) {
             if (s != nullptr) {
                 constexpr auto k1 = static_cast<std::uint8_t>(Logic::L1);
                 constexpr auto k0 = static_cast<std::uint8_t>(Logic::L0);
-                s->notify_listeners(nxt == k1, nxt == k0);
+                if (!s->pos_only_) {
+                    s->notify_listeners(nxt == k1, nxt == k0);
+                } else if (nxt == k1) {
+                    // Walk the edge in place when nothing is queued for the
+                    // next delta yet; a later notification flushes it.
+                    if (edge_sig_ == nullptr && runnable_.empty() &&
+                        !profiling_) {
+                        edge_sig_ = s;
+                    } else {
+                        s->notify_listeners(true, false);
+                    }
+                }
+                // Any other change of a posedge-only signal wakes nobody.
             }
             return true;
         }
@@ -135,27 +177,34 @@ bool Scheduler::commit_and_notify(std::uint32_t ref) {
 }
 
 void Scheduler::settle() {
-    while (!runnable_.empty() || !updates_.empty()) {
+    while (!runnable_.empty() || !updates_.empty() || edge_sig_ != nullptr) {
         ++stats.delta_cycles;
 
-        // Evaluate phase: run every process queued in the previous delta.
-        // The profiling branch is taken once per delta, not per process.
-        // A gated process is skipped here rather than at fan-out, so the
-        // delta still counts and an earlier process's wake() in this same
-        // delta still lets it run (DESIGN.md "Activity gating").
-        run_scratch_.swap(runnable_);
-        if (profiling_) {
-            for (Process* p : run_scratch_) {
-                sched_flags_[p->index_] = 0;
-                stats.proc_invocations += p->run_profiled() ? 1 : 0;
-            }
+        // Evaluate phase: walk a recorded rising edge in place, or run every
+        // process queued in the previous delta (never both: an edge is
+        // recorded only onto an empty queue). The profiling branch is taken
+        // once per delta, not per process. A gated process is skipped here
+        // rather than at fan-out, so the delta still counts and an earlier
+        // process's wake() in this same delta still lets it run (DESIGN.md
+        // "Activity gating").
+        if (edge_sig_ != nullptr) {
+            assert(runnable_.empty());
+            run_edge();
         } else {
-            for (Process* p : run_scratch_) {
-                sched_flags_[p->index_] = 0;
-                stats.proc_invocations += p->run() ? 1 : 0;
+            run_scratch_.swap(runnable_);
+            if (profiling_) {
+                for (Process* p : run_scratch_) {
+                    sched_flags_[p->index_] = 0;
+                    if (open(p->index_)) p->invoke_profiled();
+                }
+            } else {
+                for (Process* p : run_scratch_) {
+                    sched_flags_[p->index_] = 0;
+                    if (open(p->index_)) p->invoke();
+                }
             }
+            run_scratch_.clear();
         }
-        run_scratch_.clear();
 
         // Update phase: commit pending values straight from the
         // struct-of-arrays store (no virtual dispatch); changes queue their
@@ -249,7 +298,9 @@ void Scheduler::unregister_signal(SignalBase* s) {
 // ------------------------------------------------------------- checkpoint
 
 bool Scheduler::ckpt_quiescent() const {
-    if (!runnable_.empty() || !updates_.empty()) return false;
+    if (!runnable_.empty() || !updates_.empty() || edge_sig_ != nullptr) {
+        return false;
+    }
     // Every pooled closure node must be on the free list: a pending
     // schedule_at() closure cannot be serialized.
     std::size_t free_count = 0;
@@ -276,9 +327,9 @@ void Scheduler::ckpt_save(SnapWriter& w) const {
         w.str(d.message);
     }
     w.u32(static_cast<std::uint32_t>(procs_.size()));
-    for (const Process* p : procs_) {
-        w.bool8(p->gated_);
-        w.u64(p->skipped_);
+    for (std::size_t i = 0; i < procs_.size(); ++i) {
+        w.bool8(gate_flags_[i] != 0);
+        w.u64(skip_counts_[i]);
     }
 }
 
@@ -308,11 +359,11 @@ bool Scheduler::ckpt_restore(SnapReader& r) {
         diags_.push_back(std::move(d));
     }
     if (r.u32() != procs_.size()) return false;
-    for (Process* p : procs_) {
+    for (std::size_t i = 0; i < procs_.size(); ++i) {
         const std::uint8_t gated = r.u8();
         if (gated > 1) return false;
-        p->gated_ = gated != 0;
-        p->skipped_ = r.u64();
+        gate_flags_[i] = gated;
+        skip_counts_[i] = r.u64();
     }
     return r.ok_so_far();
 }
@@ -333,6 +384,7 @@ void Scheduler::ckpt_clear_events() {
 void Scheduler::ckpt_quiesce() {
     for (Process* p : runnable_) sched_flags_[p->index_] = 0;
     runnable_.clear();
+    edge_sig_ = nullptr;
     for (const std::uint32_t ref : updates_) {
         if (SignalBase* s = store_.owner_of(ref)) s->update_requested_ = false;
     }

@@ -22,6 +22,9 @@
 // list with no virtual dispatch; the profiling branch is hoisted out of
 // the per-process loop; and an idle clocked process can gate itself so the
 // evaluate loop skips its body until a wake (DESIGN.md "Activity gating").
+// A rising commit of a signal whose listeners all want only its rising edge
+// runs them in place in the next evaluate phase instead of queueing them one
+// by one, and its other changes wake nobody (DESIGN.md "Kernel event path").
 //
 // Evaluation is sequential; DESIGN.md §13 records why.
 #pragma once
@@ -81,21 +84,24 @@ public:
     [[nodiscard]] std::uint64_t invocations() const noexcept { return invocations_; }
 
     // --- activity gating (DESIGN.md "Activity gating") --------------------
+    // The gate flag and the skipped count live in the scheduler's dense
+    // per-process arrays, so the evaluate loop tests a gate without loading
+    // the Process.
     /// Called by a clocked body whose next run would change nothing: the
     /// evaluate loop skips the process, uncounted, until a wake. A wake is
     /// a committed change on an Edge::Wake signal or an explicit wake().
-    void gate() noexcept { gated_ = true; }
+    void gate() noexcept;
     /// Reopen the gate. A process not yet evaluated in the current delta
     /// still runs in it; otherwise it runs at its next trigger.
-    void wake() noexcept { gated_ = false; }
-    [[nodiscard]] bool gated() const noexcept { return gated_; }
+    void wake() noexcept;
+    [[nodiscard]] bool gated() const noexcept;
     /// Triggers swallowed while gated: what invocations() would have added.
     /// Per-cycle counters of a gated module add this to stay exact.
-    [[nodiscard]] std::uint64_t skipped() const noexcept { return skipped_; }
+    [[nodiscard]] std::uint64_t skipped() const noexcept;
 
     /// Dense registration index (assigned at construction; stable for the
-    /// scheduler's lifetime). Indexes the scheduler's flat scheduled-flag
-    /// array.
+    /// scheduler's lifetime). Indexes the scheduler's flat per-process
+    /// arrays: scheduled flags, gate flags and skipped counts.
     [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
 
     /// Accumulated wall-clock self time; only meaningful when the scheduler
@@ -107,29 +113,21 @@ public:
 private:
     friend class Scheduler;
 
-    /// Hot path: no profiling branch — the scheduler selects between this
-    /// and run_profiled() once per delta, not once per invocation. A gated
-    /// process only counts the trigger as skipped; returns whether the body
-    /// ran (DESIGN.md "Activity gating").
-    bool run() {
-        if (gated_) {
-            ++skipped_;
-            return false;
-        }
+    /// Run the body of an open process. Hot path: no profiling branch — the
+    /// scheduler selects between this and invoke_profiled() once per delta,
+    /// not once per invocation, and tests the gate before either.
+    void invoke() {
         ++invocations_;
         fn_();
-        return true;
     }
 
-    bool run_profiled();
+    void invoke_profiled();
 
     Scheduler& sch_;
     std::string name_;
     std::function<void()> fn_;
     std::uint32_t index_ = 0;
-    bool gated_ = false;
     std::uint64_t invocations_ = 0;
-    std::uint64_t skipped_ = 0;
     std::chrono::nanoseconds self_time_{0};
 };
 
@@ -149,7 +147,13 @@ public:
     /// Register a process to be notified on changes of this signal. The
     /// process's flat index is cached in the listener entry so fan-out
     /// touches the scheduled-flag array without chasing the Process object.
+    /// A repeated (process, edge) pair is dropped: the scheduled flag makes
+    /// it a no-op, and the in-place rising-edge walk needs each process once.
     void add_listener(Process& p, Edge e) {
+        for (const Listener& l : listeners_) {
+            if (l.proc == &p && l.edge == e) return;
+        }
+        pos_only_ = e == Edge::Pos && (listeners_.empty() || pos_only_);
         listeners_.push_back({&p, p.index(), e});
     }
 
@@ -198,6 +202,9 @@ private:
     std::vector<Listener> listeners_;
     std::uint32_t ref_ = SignalStore::kInvalidRef;
     bool update_requested_ = false;
+    /// At least one listener, and every listener is Edge::Pos: only a
+    /// rising commit wakes anyone (DESIGN.md "Kernel event path").
+    bool pos_only_ = false;
     mutable std::uint64_t snap_id_ = 0;  ///< 0 = not yet computed
 };
 
@@ -296,9 +303,10 @@ public:
 
     // --- checkpoint (orchestrated by src/ckpt/) --------------------------
     /// True when the kernel is at a checkpointable quiescent point: no
-    /// runnable process, no pending signal update, and no in-flight
-    /// schedule_at() closure (closures cannot be serialized; the recurring
-    /// event sources — clocks, resets — re-enter the queue on restore).
+    /// runnable process, no recorded rising edge, no pending signal update,
+    /// and no in-flight schedule_at() closure (closures cannot be
+    /// serialized; the recurring event sources — clocks, resets — re-enter
+    /// the queue on restore).
     [[nodiscard]] bool ckpt_quiescent() const;
 
     /// Serialize the kernel core: sim time, stop state, stats, diagnostics,
@@ -352,16 +360,37 @@ private:
             runnable_.push_back(p);
         }
     }
+    /// Process::notify(): as notify_process(), except that a member the
+    /// current in-place walk has yet to reach is already due in this delta.
+    void notify_from_body(Process* p);
     void register_process(Process* p) {
         p->index_ = static_cast<std::uint32_t>(procs_.size());
         procs_.push_back(p);
         sched_flags_.push_back(0);
+        gate_flags_.push_back(0);
+        skip_counts_.push_back(0);
+    }
+    /// Evaluate-loop gate test: an open process is counted and returns
+    /// true; a gated one only counts the trigger as skipped.
+    bool open(std::uint32_t idx) {
+        if (gate_flags_[idx] != 0) {
+            ++skip_counts_[idx];
+            return false;
+        }
+        ++stats.proc_invocations;
+        return true;
     }
     void register_signal(SignalBase* s) { signals_.push_back(s); }
     void unregister_signal(SignalBase* s);
     /// Commit one dirty signal from the store and fan out the change.
     /// Returns true when the committed value changed.
     bool commit_and_notify(std::uint32_t ref);
+    /// Fan a recorded rising edge out into the ordinary queue, in listener
+    /// order, before any other notification of the same update phase.
+    void flush_edge();
+    /// Evaluate phase of a recorded rising edge: run the open listeners in
+    /// listener order, testing each gate when the walk reaches it.
+    void run_edge();
     /// Drain the event queue and rebuild the closure-event free list.
     void ckpt_clear_events();
     void recycle(FnEvent* ev) noexcept {
@@ -393,6 +422,16 @@ private:
     /// Flat scheduled flags indexed by Process::index(): the fan-out hot
     /// loop tests/sets one dense byte instead of touching each Process.
     std::vector<std::uint8_t> sched_flags_;
+    /// Gate flags and skipped counts, indexed the same way: a gated process
+    /// costs the evaluate loop one byte test and one increment.
+    std::vector<std::uint8_t> gate_flags_;
+    std::vector<std::uint64_t> skip_counts_;
+
+    /// The rising edge the next evaluate phase walks in place, recorded by
+    /// commit_and_notify(), and the walk's position and end while it runs.
+    SignalBase* edge_sig_ = nullptr;
+    std::size_t walk_pos_ = 0;
+    std::size_t walk_end_ = 0;
 
     std::vector<Process*> procs_;
     std::vector<SignalBase*> signals_;
@@ -400,5 +439,14 @@ private:
     std::uint64_t dropped_diags_ = 0;
     Tracer* tracer_ = nullptr;
 };
+
+inline void Process::gate() noexcept { sch_.gate_flags_[index_] = 1; }
+inline void Process::wake() noexcept { sch_.gate_flags_[index_] = 0; }
+inline bool Process::gated() const noexcept {
+    return sch_.gate_flags_[index_] != 0;
+}
+inline std::uint64_t Process::skipped() const noexcept {
+    return sch_.skip_counts_[index_];
+}
 
 }  // namespace rtlsim

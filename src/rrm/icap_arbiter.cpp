@@ -153,7 +153,9 @@ void IcapArbiter::external_write(Word w) {
         }
     }
 
-    if (active_) {
+    // Buffer while a session drains and until the words it held back have
+    // drained too: a word sent straight on would overtake them.
+    if (active_ || !ext_buf_.empty()) {
         ext_buf_.push_back(
             (static_cast<std::uint64_t>(w.val_plane()) << 32) |
             w.unk_plane());

@@ -16,7 +16,8 @@
 // external passthrough port lets the legacy CPU-driven IcapCTRL coexist:
 // its words forward immediately while the arbiter is idle (a SYNC/DESYNC
 // sniffer marks the external session so no manager grant interleaves), and
-// are buffered until the active manager session drains otherwise.
+// are buffered otherwise: while a manager session drains, and until the
+// words buffered behind it have gone out in order.
 #pragma once
 
 #include <cstdint>

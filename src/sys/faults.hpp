@@ -95,6 +95,13 @@ inline constexpr std::array<FaultInfo, 14> kFaultCatalog{{
      ExpectedDetection::kResimOnly},
 }};
 
+/// bug.sw.3-sw.5 exercise the ISS (self-modifying code, MSR[EE], `sc` in an
+/// ISR). They are this reproduction's additions, not among the paper's 11
+/// faults, so the Section V-A tally counts them apart.
+[[nodiscard]] constexpr bool in_paper(Fault f) {
+    return f < Fault::kSw3StaleCodePatch || f > Fault::kSw5SyscallInIsr;
+}
+
 // --- catalogue completeness, checked at compile time -----------------------
 // The array literal above must stay in sync with the Fault enum by hand;
 // these static_asserts turn a forgotten or duplicated entry into a compile

@@ -1,7 +1,11 @@
 // Unit tests for the event scheduler, signals, processes and tracing.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "kernel/kernel.hpp"
 
@@ -531,6 +535,167 @@ TEST(KernelGate, RestoreRejectsAMalformedGateTable) {
         GateDesign d;
         SnapReader r(bad);
         EXPECT_FALSE(d.sch.ckpt_restore(r)) << "truncated gate table";
+    }
+}
+
+// --- the posedge-only fast path --------------------------------------------
+// A rising commit of a signal whose listeners all want only its rising edge
+// runs them in place, and its falls wake nobody (DESIGN.md "Kernel event
+// path"). Each design below is built twice. The `full` twin gives its clock
+// an Edge::Wake listener on a process that never gates, which forces the
+// ordinary fan-out and changes nothing else, so the two must agree on
+// every count, level and checkpoint byte.
+
+/// Gated and ungated posedge processes, a process notified from a timed
+/// event on a falling edge, and a timed read of the clock after its toggle.
+struct EdgeDesign {
+    Scheduler sch;
+    Clock clk{sch, "clk", 10 * NS};
+    Signal<int> cnt{sch, "cnt", 0};
+    Signal<int> en{sch, "en", 0};
+    Signal<int> acc{sch, "acc", 0};
+    std::vector<std::pair<Time, Logic>> seen;  // clk as other code reads it
+    Process counter{sch, "counter", [this] {
+                        cnt.write(cnt.read() + 1);
+                        en.write(cnt.read() % 5 == 0 ? 1 : 0);
+                    }};
+    Process sleeper{sch, "sleeper", [this] {
+                        if (en.read() == 0) {
+                            sleeper.gate();
+                        } else {
+                            acc.write(acc.read() + 1);
+                        }
+                    }};
+    Process probe{sch, "probe",
+                  [this] { seen.emplace_back(sch.now(), clk.out.read()); }};
+
+    explicit EdgeDesign(bool full) {
+        clk.out.add_listener(counter, Edge::Pos);
+        clk.out.add_listener(sleeper, Edge::Pos);
+        en.add_listener(sleeper, Edge::Wake);
+        if (full) clk.out.add_listener(counter, Edge::Wake);
+        // Two falling edges with a timed event after the toggle (scheduled
+        // once the toggle is queued): at 20 ns it reads the clock, at 40 ns
+        // it queues a process that reads it. Both see the old level, which
+        // commits in the timestep's first update phase. Other falls have
+        // neither.
+        sch.schedule_at(16 * NS, [this] {
+            sch.schedule_at(20 * NS, [this] {
+                seen.emplace_back(sch.now(), clk.out.read());
+            });
+        });
+        sch.schedule_at(36 * NS, [this] {
+            sch.schedule_at(40 * NS, [this] { probe.notify(); });
+        });
+    }
+
+    [[nodiscard]] std::vector<std::uint8_t> blob() const {
+        SnapWriter w;
+        sch.ckpt_save(w);
+        sch.ckpt_save_signals(w);
+        return w.take();
+    }
+};
+
+TEST(KernelFastPath, EdgesMatchTheFullPathAtEveryPoint) {
+    EdgeDesign fast(false);
+    EdgeDesign full(true);
+    // Edges sit at multiples of 5 ns; visit each one, 1 ps after it and
+    // 2 ns after it.
+    for (Time edge = 5 * NS; edge <= 120 * NS; edge += 5 * NS) {
+        for (const Time t : {edge, edge + 1, edge + 2 * NS}) {
+            fast.sch.run_until(t);
+            full.sch.run_until(t);
+            ASSERT_EQ(fast.sch.stats, full.sch.stats) << "t=" << t;
+            ASSERT_EQ(fast.clk.out.read(), full.clk.out.read()) << "t=" << t;
+            ASSERT_EQ(fast.blob(), full.blob()) << "t=" << t;
+        }
+    }
+    EXPECT_EQ(fast.seen, full.seen);
+    EXPECT_EQ(fast.seen,
+              (std::vector<std::pair<Time, Logic>>{{20 * NS, Logic::L1},
+                                                   {40 * NS, Logic::L1}}));
+    EXPECT_EQ(fast.clk.out.read(), Logic::L0);
+    EXPECT_GT(fast.sleeper.skipped(), 0u);
+    EXPECT_GT(fast.acc.read(), 0);
+}
+
+/// Three posedge processes on one clock; the middle one notifies both of
+/// its neighbours on the first rising edge.
+struct NotifyDesign {
+    Scheduler sch;
+    Clock clk{sch, "clk", 10 * NS};
+    std::vector<std::string> ran;
+    Process first{sch, "first", [this] { ran.push_back("first"); }};
+    Process middle{sch, "middle", [this] {
+                       ran.push_back("middle");
+                       if (sch.now() == 5 * NS) {
+                           last.notify();
+                           first.notify();
+                       }
+                   }};
+    Process last{sch, "last", [this] { ran.push_back("last"); }};
+
+    explicit NotifyDesign(bool full) {
+        clk.out.add_listener(first, Edge::Pos);
+        clk.out.add_listener(middle, Edge::Pos);
+        clk.out.add_listener(last, Edge::Pos);
+        if (full) clk.out.add_listener(first, Edge::Wake);
+    }
+};
+
+TEST(KernelFastPath, NotifyDuringARisingEdgeRunsLaterMembersOnce) {
+    NotifyDesign fast(false);
+    NotifyDesign full(true);
+    fast.sch.run_until(5 * NS);
+    full.sch.run_until(5 * NS);
+    // `last` was still due in the edge's delta, so its notify() is a
+    // no-op; `first` had run, so it runs again in the next delta.
+    const std::vector<std::string> want = {"first", "middle", "last", "first"};
+    EXPECT_EQ(fast.ran, want);
+    EXPECT_EQ(full.ran, want);
+    EXPECT_EQ(fast.sch.stats, full.sch.stats);
+    EXPECT_EQ(fast.sch.stats.proc_invocations, 4u);
+}
+
+/// `both` listens to posedge(clk) and anyedge(x); a timed write of x
+/// commits in the same update phase as the rising clock, before it when
+/// `x_first` (scheduled ahead of the clock's first toggle), else after.
+struct SharedPhaseDesign {
+    Scheduler sch;
+    std::vector<std::string> ran;
+    Signal<int> x{sch, "x", 0};
+    std::unique_ptr<Clock> clk;
+    Process before{sch, "before", [this] { ran.push_back("before"); }};
+    Process both{sch, "both", [this] { ran.push_back("both"); }};
+    Process after{sch, "after", [this] { ran.push_back("after"); }};
+
+    SharedPhaseDesign(bool full, bool x_first) {
+        if (x_first) sch.schedule_at(5 * NS, [this] { x.write(1); });
+        clk = std::make_unique<Clock>(sch, "clk", 10 * NS);
+        if (!x_first) sch.schedule_at(5 * NS, [this] { x.write(1); });
+        clk->out.add_listener(before, Edge::Pos);
+        clk->out.add_listener(both, Edge::Pos);
+        clk->out.add_listener(after, Edge::Pos);
+        x.add_listener(both, Edge::Any);
+        if (full) clk->out.add_listener(before, Edge::Wake);
+    }
+};
+
+TEST(KernelFastPath, ProcessOnTheEdgeAndAnotherSignalRunsOnce) {
+    for (const bool x_first : {false, true}) {
+        SharedPhaseDesign fast(false, x_first);
+        SharedPhaseDesign full(true, x_first);
+        fast.sch.run_until(5 * NS);
+        full.sch.run_until(5 * NS);
+        // x's commit queues `both` at its own position only when it comes
+        // first; after the clock's, `both` already holds its clock slot.
+        const std::vector<std::string> want =
+            x_first ? std::vector<std::string>{"both", "before", "after"}
+                    : std::vector<std::string>{"before", "both", "after"};
+        EXPECT_EQ(fast.ran, want) << "x_first=" << x_first;
+        EXPECT_EQ(full.ran, want) << "x_first=" << x_first;
+        EXPECT_EQ(fast.sch.stats, full.sch.stats) << "x_first=" << x_first;
     }
 }
 

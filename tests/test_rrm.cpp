@@ -700,6 +700,31 @@ TEST(RrmSystem, ThreeRegionCheckpointRoundTrip) {
     EXPECT_FALSE(wrong.restore(is2, &err));
 }
 
+// Long pool SimBs: once a manager session has held back external (CPU
+// IcapCTRL) words, every later external word queues behind them until they
+// have drained. Sent straight on, it overtook them and corrupted the ICAP
+// stream: 800 to 1023 words read "unrecognised packet header", 1024 a FAR
+// naming an unmapped module. Short SimBs reorder only identical padding.
+class RrmLongPoolSimB : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(RrmLongPoolSimB, ExternalWordsKeepTheirOrder) {
+    sys::SystemConfig cfg;
+    cfg.regions = 3;
+    cfg.width = 32;
+    cfg.height = 24;
+    cfg.rrm_payload_words = GetParam();
+    sys::Testbench tb(cfg, /*scene_seed=*/1);
+    const sys::RunResult res = tb.run(2);
+    EXPECT_EQ(res.frames_completed, 2u);
+    EXPECT_EQ(res.verdict(), "clean");
+    for (const rtlsim::Diag& d : res.diagnostics) {
+        ADD_FAILURE() << d.source << ": " << d.message;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Payloads, RrmLongPoolSimB,
+                         ::testing::Values(800u, 1000u, 1023u, 1024u));
+
 // Virtual Multiplexing pool: under the VM method the managed regions swap
 // via their per-region engine_signature registers on the management chain
 // — no bitstreams, no arbiter — and the job mix still completes.

@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -168,65 +167,6 @@ bool write_verdicts(const std::string& path,
     for (const JobRecord& rec : records) os << to_verdict_line(rec) << '\n';
     std::printf("verdicts: %s (%zu lines)\n", path.c_str(), records.size());
     return os.good();
-}
-
-/// Table III from the faults-campaign records (same shape and verdict
-/// strings as bench_bug_detection).
-void print_fault_table(const std::vector<JobRecord>& records) {
-    std::map<std::string, const JobRecord*> by_name;
-    for (const JobRecord& r : records) by_name[r.name] = &r;
-
-    std::printf("\n==== Table III: detected bugs per simulation method"
-                " ====\n");
-    std::printf("%-12s | %-10s | %-10s | %-22s | %s\n", "bug", "VM", "ReSim",
-                "ReSim w/o X (2-state)", "description");
-    std::printf("-------------+------------+------------+------------------"
-                "------+------------\n");
-    unsigned vm_static = 0, vm_false = 0, resim_sw = 0, resim_dpr = 0,
-             mismatches = 0;
-    for (const sys::FaultInfo& fi : sys::kFaultCatalog) {
-        const auto* f = by_name[std::string("fault.") + fi.id];
-        const auto* nx = by_name[std::string("nox.") + fi.id];
-        if (f == nullptr || nx == nullptr) continue;
-        const bool vm_det = f->report.metrics.at("vm_detected") != 0.0;
-        const bool rs_det = f->report.metrics.at("resim_detected") != 0.0;
-        const bool nx_det = nx->report.metrics.at("nox_detected") != 0.0;
-        std::printf("%-12s | %-10s | %-10s | %-22s | %s\n", fi.id,
-                    vm_det ? "DETECTED" : "passed",
-                    rs_det ? "DETECTED" : "passed",
-                    nx_det ? "DETECTED" : "passed", fi.description);
-        if (!f->passed()) {
-            ++mismatches;
-            std::printf("    !! expectation mismatch: %s\n",
-                        f->report.verdict.c_str());
-        }
-        const std::string id = fi.id;
-        if (vm_det) {
-            if (fi.expected == sys::ExpectedDetection::kVmFalseAlarm) {
-                ++vm_false;
-            } else {
-                ++vm_static;
-            }
-        }
-        if (rs_det) {
-            if (id.find("dpr") != std::string::npos) {
-                ++resim_dpr;
-            } else {
-                ++resim_sw;
-            }
-        }
-    }
-    std::printf("\n==== Section V-A counts ====\n");
-    std::printf("  VM-detected real bugs (static design):     %u  (paper: 3)\n",
-                vm_static);
-    std::printf("  VM false alarms (simulation artefact):     %u  (paper: 1,"
-                " bug.hw.2)\n", vm_false);
-    std::printf("  ReSim-detected software/static bugs:        %u\n",
-                resim_sw);
-    std::printf("  ReSim-detected DPR bugs:                    %u  (paper:"
-                " 6)\n", resim_dpr);
-    std::printf("  expectation mismatches:                     %u\n",
-                mismatches);
 }
 
 /// Standalone reproducer replay: re-run the differential pair a
@@ -644,7 +584,11 @@ int main(int argc, char** argv) {
                                     : "");
     const CampaignResult result = runner.run(jobs);
 
-    if (opt.campaign == "faults") print_fault_table(result.records);
+    if (opt.campaign == "faults") {
+        std::printf("\n==== Table III: detected bugs per simulation method"
+                    " ====\n");
+        print_fault_table(result.records);
+    }
 
     bool expect_genuine_failed = false;
     if (opt.campaign == "diff") {

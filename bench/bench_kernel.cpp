@@ -42,9 +42,11 @@ void bm_signal_commit(benchmark::State& state) {
 }
 BENCHMARK(bm_signal_commit);
 
-/// One clock edge fanning out to N sequential processes — the inner loop of
-/// the full-system simulation.
-void bm_clock_fanout(benchmark::State& state) {
+/// One clock edge fanning out to N sequential posedge processes — the inner
+/// loop of the full-system simulation. With `wake`, the first process also
+/// gets an Edge::Wake listener; it never gates, so that changes no run, but
+/// the clock is no longer posedge-only and every edge pops and fires.
+void clock_fanout(benchmark::State& state, bool wake) {
     const auto n = static_cast<std::size_t>(state.range(0));
     Scheduler sch;
     Clock clk(sch, "clk", 10 * NS);
@@ -55,13 +57,21 @@ void bm_clock_fanout(benchmark::State& state) {
             std::make_unique<Process>(sch, "p", [&sink] { ++sink; }));
         clk.out.add_listener(*procs.back(), Edge::Pos);
     }
+    if (wake) clk.out.add_listener(*procs.front(), Edge::Wake);
     for (auto _ : state) {
         sch.advance();  // half period; alternating edges
     }
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * n / 2);
 }
+
+void bm_clock_fanout(benchmark::State& state) { clock_fanout(state, false); }
 BENCHMARK(bm_clock_fanout)->Arg(1)->Arg(16)->Arg(64);
+
+void bm_clock_fanout_wake(benchmark::State& state) {
+    clock_fanout(state, true);
+}
+BENCHMARK(bm_clock_fanout_wake)->Arg(16);
 
 /// The allocation-free event path: an intrusive node rescheduling itself,
 /// as a Clock does — the single hottest loop in any full-system run.

@@ -1,10 +1,12 @@
 // rtlsim: clock and reset generators built on intrusive timed events.
 //
 // These are the highest-frequency event sources in any simulation — a clock
-// schedules one event per half-period for the whole run. Each generator
-// embeds a reusable TimedEvent node and reschedules it from fire(), so a
-// billion clock edges allocate exactly nothing (the old implementation
-// built a fresh std::function closure per edge).
+// toggles once per half-period for the whole run. Each generator embeds a
+// reusable TimedEvent node and reschedules it from fire(), so a billion
+// clock edges allocate exactly nothing (the old implementation built a
+// fresh std::function closure per edge). A clock's node names its signal
+// and half period, so the scheduler can run a toggle in place, without
+// fire(), when nothing else is due (DESIGN.md "Kernel event path").
 #pragma once
 
 #include <string>
@@ -14,7 +16,8 @@
 namespace rtlsim {
 
 /// Free-running clock generator producing a Logic square wave. Toggling is
-/// allocation-free: one intrusive event node is reused for every edge.
+/// allocation-free: one intrusive event node is reused for every edge, and
+/// stays at the front of the queue when the scheduler runs it in place.
 class Clock final : public Module {
 public:
     Signal<Logic> out;
@@ -22,7 +25,7 @@ public:
     Clock(Scheduler& sch, std::string name, Time period, Time start = 0)
         : Module(sch, std::move(name)),
           out(sch, full_name() + ".out", Logic::L0),
-          toggle_(*this),
+          toggle_(*this, period / 2),
           half_(period / 2),
           origin_(start) {
         sch.schedule_event(start + half_, toggle_);
@@ -70,8 +73,10 @@ private:
         return origin_ + ((t - origin_) / half_ + 1) * half_;
     }
 
+    /// Scheduler::toggle_in_place() does what fire() does, without popping
+    /// the node, whenever nothing else is due; the two must stay in step.
     struct ToggleEvent final : TimedEvent {
-        explicit ToggleEvent(Clock& c) : clk(c) {}
+        ToggleEvent(Clock& c, Time half) : TimedEvent(c.out, half), clk(c) {}
         void fire() override {
             const bool rising = !is1(clk.out.read());
             clk.out.write(rising ? Logic::L1 : Logic::L0);

@@ -2,15 +2,17 @@
 //
 // The scheduler's hot path is "pop the earliest timestep, fire its events".
 // Every testbench in src/ elaborates one clock and one reset, so the queue
-// holds at most two events: a clock edge costs one heap push and one heap
-// pop on a two-element vector (DESIGN.md "Kernel event path").
+// holds at most two events. A clock toggle alone at the front, with nothing
+// else due, never leaves the queue: the scheduler toggles the signal itself
+// and moves the front entry on by half a period (DESIGN.md "Kernel event
+// path"). Any other timestep pops its events and fires them.
 //
 //   * TimedEvent is an intrusive, reusable node. Recurring sources (clocks)
 //     embed one and reschedule it from fire() without ever allocating. A
 //     pushed node leaves the queue only by firing or by clear().
 //   * EventQueue is a min-heap of (time, push sequence, node) entries in a
-//     std::vector, which keeps its capacity, so a steady-state push or pop
-//     allocates nothing.
+//     std::vector, which keeps its capacity, so a steady-state push, pop or
+//     front reschedule allocates nothing.
 //
 // Ordering contract (identical to the original std::map wheel, and pinned
 // by the kernel-invariance tests): events fire in ascending time; events
@@ -18,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -28,6 +31,7 @@ namespace rtlsim {
 
 class EventQueue;
 class Scheduler;
+class SignalBase;
 struct EventTestAccess;  // white-box driver for the differential queue test
 
 /// An intrusive schedulable event. Derive, implement fire(), and hand the
@@ -48,6 +52,12 @@ public:
     [[nodiscard]] Time time() const noexcept { return time_; }
 
 protected:
+    /// A clock's toggle node: its fire() flips the Logic signal `toggles`
+    /// between L0 and L1 and reschedules the node `half` later. Naming both
+    /// lets the scheduler do that itself when nothing else is due.
+    TimedEvent(SignalBase& toggles, Time half) noexcept
+        : toggles_(&toggles), half_(half) {}
+
     /// Called by the scheduler when simulated time reaches time().
     virtual void fire() = 0;
 
@@ -59,6 +69,8 @@ private:
     TimedEvent* next_ = nullptr;  ///< intrusive link (fire chain / free list)
     Time time_ = 0;
     bool pending_ = false;
+    SignalBase* toggles_ = nullptr;  ///< set on a clock's toggle node only
+    Time half_ = 0;
 };
 
 /// Min-heap on (time, push sequence): the sequence number breaks timestamp
@@ -90,6 +102,36 @@ public:
         if (heap_.empty()) return false;
         t = heap_.front().time;
         return true;
+    }
+
+    /// The earliest entry's node when no other entry shares its time, else
+    /// nullptr. The runner-up of a heap is one of the front's two children.
+    [[nodiscard]] TimedEvent* lone_front() const noexcept {
+        const std::size_t n = heap_.size();
+        if (n == 0) return nullptr;
+        const Time t = heap_[0].time;
+        if ((n > 1 && heap_[1].time == t) || (n > 2 && heap_[2].time == t)) {
+            return nullptr;
+        }
+        return heap_[0].ev;
+    }
+
+    /// Move the front entry's node to `t`, no earlier than its time, with a
+    /// fresh push sequence: the order a pop and a push of the node would
+    /// give, by one sift-down from the front.
+    void reschedule_front(Time t) noexcept {
+        assert(!heap_.empty() && t >= heap_.front().time);
+        const Entry e{t, seq_++, heap_.front().ev};
+        e.ev->time_ = t;
+        const std::size_t n = heap_.size();
+        std::size_t i = 0;
+        for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+            if (c + 1 < n && later(heap_[c], heap_[c + 1])) ++c;
+            if (!later(e, heap_[c])) break;
+            heap_[i] = heap_[c];
+            i = c;
+        }
+        heap_[i] = e;
     }
 
     /// Unlink and return the FIFO chain (linked via TimedEvent::next_) of

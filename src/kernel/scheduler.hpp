@@ -24,7 +24,9 @@
 // evaluate loop skips its body until a wake (DESIGN.md "Activity gating").
 // A rising commit of a signal whose listeners all want only its rising edge
 // runs them in place in the next evaluate phase instead of queueing them one
-// by one, and its other changes wake nobody (DESIGN.md "Kernel event path").
+// by one, and its other changes wake nobody. A toggle of such a clock that
+// is alone at the front of the queue, with nothing else due, runs in place
+// too: no pop, push, fire() or commit delta (DESIGN.md "Kernel event path").
 //
 // Evaluation is sequential; DESIGN.md §13 records why.
 #pragma once
@@ -245,6 +247,8 @@ public:
     }
 
     /// Run until the given absolute time (inclusive) or until out of events.
+    /// Time never runs backwards: a bound before now() runs nothing and
+    /// leaves now() where it is.
     void run_until(Time t);
 
     /// Run one timestep (all deltas at the next event time).
@@ -391,6 +395,11 @@ private:
     /// Evaluate phase of a recorded rising edge: run the open listeners in
     /// listener order, testing each gate when the walk reaches it.
     void run_edge();
+    /// Run the timestep of `ev`, the queue's lone front and a clock toggle
+    /// of a posedge-only signal, with nothing else due (advance() checks):
+    /// toggle the level, count what fire() and the commit delta would, move
+    /// the node on by half a period and, on a rise, settle the edge.
+    void toggle_in_place(TimedEvent& ev);
     /// Drain the event queue and rebuild the closure-event free list.
     void ckpt_clear_events();
     void recycle(FnEvent* ev) noexcept {

@@ -255,10 +255,11 @@ TEST(EventQueue, RunUntilStopsAtRequestedTime) {
 // --- differential property test ------------------------------------------
 // Drives EventQueue directly (EventTestAccess) against a std::multimap,
 // whose equal-key insertion order is exactly the FIFO-per-timestamp
-// contract. Random push/pop_step/clear sequences are biased toward the
-// cases that break a time-ordered queue: timestamps quantised so equal-time
-// chains recur and interleave with later pushes, deltas spread from zero to
-// far ahead, and restore-style clear() calls that rewind simulated time.
+// contract. Random push/pop_step/reschedule_front/clear sequences are
+// biased toward the cases that break a time-ordered queue: timestamps
+// quantised so equal-time chains recur and interleave with later pushes,
+// deltas spread from zero to far ahead, and restore-style clear() calls
+// that rewind simulated time.
 
 using rtlsim::EventTestAccess;
 
@@ -301,29 +302,43 @@ void differential_run(std::uint64_t seed, unsigned scale_shift,
         return rng;
     };
 
+    // A delta drawn from four bands, quantised to unit/4 so identical
+    // timestamps recur often.
+    auto draw_dt = [&]() -> Time {
+        const std::uint64_t band = draw() % 10;
+        if (band < 3) return 0;                      // same-time chain growth
+        if (band < 6) return (draw() % 8) * unit;    // near
+        if (band < 9) {
+            // a dense band around `far`: [far - 2 units, far + 2)
+            return far - 2 * unit + (draw() % (4 * 256)) * (unit / 4 + 1);
+        }
+        return far * (2 + draw() % 6);  // far ahead
+    };
+
     Time now = 0;
     for (int i = 0; i < iterations; ++i) {
         ASSERT_EQ(q.size(), ref.size());
         const std::uint64_t op = draw() % 100;
-        if (op < 55) {
-            // push — delta drawn from four bands, quantised to unit/4 so
-            // identical timestamps recur often.
-            const std::uint64_t band = draw() % 10;
-            Time dt = 0;
-            if (band < 3) {
-                dt = 0;  // same-time chain growth
-            } else if (band < 6) {
-                dt = (draw() % 8) * unit;  // near
-            } else if (band < 9) {
-                // a dense band around `far`: [far - 2 units, far + 2)
-                dt = far - 2 * unit + (draw() % (4 * 256)) * (unit / 4 + 1);
-            } else {
-                dt = far * (2 + draw() % 6);  // far ahead
-            }
+        if (op < 50) {
+            const Time t = now + draw_dt();
             NullEvent* ev = take_node();
-            EventTestAccess::prime(*ev, now + dt);
+            EventTestAccess::prime(*ev, t);
             q.push(ev);
-            ref.emplace(now + dt, ev);
+            ref.emplace(t, ev);
+        } else if (op < 60) {
+            // reschedule_front — the scheduler's in-place clock toggle: the
+            // front node moves on with a fresh sequence, so the reference
+            // erases its first entry and inserts it after every equal key.
+            if (ref.empty()) continue;
+            const auto front = ref.begin();
+            NullEvent* ev = front->second;
+            now = front->first;
+            const Time t = now + draw_dt();
+            q.reschedule_front(t);
+            ref.erase(front);
+            ref.emplace(t, ev);
+            ASSERT_EQ(ev->time(), t);
+            ASSERT_TRUE(ev->pending());
         } else if (op < 90) {
             // pop_step — must return the reference's whole earliest
             // timestep, in reference (scheduling) order.
@@ -351,12 +366,18 @@ void differential_run(std::uint64_t seed, unsigned scale_shift,
             ASSERT_TRUE(it == ref.end() || it->first != tmin)
                 << "pop_step left same-time events behind";
         } else if (op < 97) {
-            // peek only.
+            // peek only: the earliest time, and its node when it is alone
+            // at that time.
             Time t = 0;
             const bool have = q.peek_next(t);
             ASSERT_EQ(have, !ref.empty());
             if (have) {
                 ASSERT_EQ(t, ref.begin()->first);
+                const bool alone = ref.count(t) == 1;
+                TimedEvent* const want = alone ? ref.begin()->second : nullptr;
+                ASSERT_EQ(q.lone_front(), want);
+            } else {
+                ASSERT_EQ(q.lone_front(), nullptr);
             }
         } else {
             // restore-style clear: discard the timeline and rewind `now`

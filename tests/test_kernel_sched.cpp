@@ -48,6 +48,21 @@ TEST(Scheduler, RunUntilStopsAtBound) {
     EXPECT_EQ(hits, 10);
 }
 
+// Testbench::run() starts with run_until(8 clock periods), so a second
+// run() of one testbench asks for a time already passed.
+TEST(Scheduler, RunUntilAnEarlierTimeDoesNotRewind) {
+    Scheduler sch;
+    Clock clk(sch, "clk", 10 * NS);
+    sch.run_until(1000 * NS);
+    sch.run_until(80 * NS);
+    EXPECT_EQ(sch.now(), 1000 * NS);
+    Time fired = 0;
+    sch.schedule_in(1 * NS, [&] { fired = sch.now(); });
+    sch.run_until(1001 * NS);
+    EXPECT_EQ(fired, 1001 * NS);
+    EXPECT_EQ(sch.now(), 1001 * NS);
+}
+
 TEST(Scheduler, StopRequestHaltsRun) {
     Scheduler sch;
     int hits = 0;
@@ -546,6 +561,14 @@ TEST(KernelGate, RestoreRejectsAMalformedGateTable) {
 // ordinary fan-out and changes nothing else, so the two must agree on
 // every count, level and checkpoint byte.
 
+/// The kernel section and every signal, as a checkpoint writes them.
+[[nodiscard]] std::vector<std::uint8_t> blob_of(const Scheduler& sch) {
+    SnapWriter w;
+    sch.ckpt_save(w);
+    sch.ckpt_save_signals(w);
+    return w.take();
+}
+
 /// Gated and ungated posedge processes, a process notified from a timed
 /// event on a falling edge, and a timed read of the clock after its toggle.
 struct EdgeDesign {
@@ -590,11 +613,9 @@ struct EdgeDesign {
     }
 
     [[nodiscard]] std::vector<std::uint8_t> blob() const {
-        SnapWriter w;
-        sch.ckpt_save(w);
-        sch.ckpt_save_signals(w);
-        return w.take();
+        return blob_of(sch);
     }
+    [[nodiscard]] std::vector<Logic> levels() const { return {clk.out.read()}; }
 };
 
 TEST(KernelFastPath, EdgesMatchTheFullPathAtEveryPoint) {
@@ -618,6 +639,124 @@ TEST(KernelFastPath, EdgesMatchTheFullPathAtEveryPoint) {
     EXPECT_EQ(fast.clk.out.read(), Logic::L0);
     EXPECT_GT(fast.sleeper.skipped(), 0u);
     EXPECT_GT(fast.acc.read(), 0);
+}
+
+// The in-place clock toggle: a lone toggle of a posedge-only clock with
+// nothing else due neither fires nor commits in a delta of its own. Each
+// case below steps the twins through every nanosecond and 1 ps past it.
+
+/// Run both twins to every nanosecond of (0, end] and 1 ps past it, and
+/// call `between(twin, t)` on each once it stops at t. They must agree on
+/// every count, clock level and checkpoint byte at every stop.
+template <typename Design, typename Between>
+void run_twins(Design& fast, Design& full, Time end, Between between) {
+    for (Time ns = NS; ns <= end; ns += NS) {
+        for (const Time t : {ns, ns + 1}) {
+            fast.sch.run_until(t);
+            full.sch.run_until(t);
+            ASSERT_EQ(fast.sch.stats, full.sch.stats) << "t=" << t;
+            ASSERT_EQ(fast.levels(), full.levels()) << "t=" << t;
+            ASSERT_EQ(blob_of(fast.sch), blob_of(full.sch)) << "t=" << t;
+            between(fast, t);
+            between(full, t);
+        }
+    }
+}
+
+constexpr auto kNothingBetween = [](auto&, Time) {};
+
+TEST(KernelFastPath, TimedEventsAheadOfTheToggleMatchTheFullPath) {
+    EdgeDesign fast(false);
+    EdgeDesign full(true);
+    // Pushed at elaboration, so each fires before the toggle that shares
+    // its timestep: at a rising edge it queues the probe, which runs
+    // before the rise commits, and at a falling edge it reads the clock.
+    for (EdgeDesign* d : {&fast, &full}) {
+        d->sch.schedule_at(65 * NS, [d] { d->probe.notify(); });
+        d->sch.schedule_at(80 * NS, [d] {
+            d->seen.emplace_back(d->sch.now(), d->clk.out.read());
+        });
+    }
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 120 * NS, kNothingBetween));
+    EXPECT_EQ(fast.seen, full.seen);
+    EXPECT_EQ(fast.seen,
+              (std::vector<std::pair<Time, Logic>>{{20 * NS, Logic::L1},
+                                                   {40 * NS, Logic::L1},
+                                                   {65 * NS, Logic::L0},
+                                                   {80 * NS, Logic::L1}}));
+}
+
+TEST(KernelFastPath, WritesAndNotifiesBetweenRunsMatchTheFullPath) {
+    EdgeDesign fast(false);
+    EdgeDesign full(true);
+    // Test code between run_until() calls: a write of the sleeper's wake
+    // signal before a rising edge, and a notify() of the probe before a
+    // rising and before a falling edge. Each is still due when the
+    // toggle's timestep begins.
+    const auto poke = [](EdgeDesign& d, Time t) {
+        if (t == 52 * NS) d.en.write(1);
+        if (t == 72 * NS || t == 87 * NS) d.probe.notify();
+    };
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 120 * NS, poke));
+    EXPECT_EQ(fast.seen, full.seen);
+    EXPECT_EQ(fast.seen,
+              (std::vector<std::pair<Time, Logic>>{{20 * NS, Logic::L1},
+                                                   {40 * NS, Logic::L1},
+                                                   {75 * NS, Logic::L0},
+                                                   {90 * NS, Logic::L1}}));
+    EXPECT_EQ(fast.acc.read(), full.acc.read());
+}
+
+TEST(KernelFastPath, ProfiledTwinsMatch) {
+    EdgeDesign fast(false);
+    EdgeDesign full(true);
+    fast.sch.set_profiling(true);
+    full.sch.set_profiling(true);
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 120 * NS, kNothingBetween));
+    EXPECT_EQ(fast.counter.invocations(), full.counter.invocations());
+    // Every run went through invoke_profiled(), which times the body.
+    EXPECT_GT(fast.counter.self_time().count(), 0);
+}
+
+/// Two clocks, of 10 ns and 14 ns, each with a posedge counter, and one
+/// process on both rising edges. Their edges coincide every 35 ns, rising
+/// at odd multiples and falling at even ones; between, each toggles alone.
+struct TwoClockDesign {
+    Scheduler sch;
+    Clock a{sch, "a", 10 * NS};
+    Clock b{sch, "b", 14 * NS};
+    Signal<int> na{sch, "na", 0};
+    Signal<int> nb{sch, "nb", 0};
+    Signal<int> sum{sch, "sum", 0};
+    Process count_a{sch, "count_a", [this] { na.write(na.read() + 1); }};
+    Process count_b{sch, "count_b", [this] { nb.write(nb.read() + 1); }};
+    Process both{sch, "both", [this] { sum.write(na.read() + nb.read()); }};
+
+    explicit TwoClockDesign(bool full) {
+        a.out.add_listener(count_a, Edge::Pos);
+        a.out.add_listener(both, Edge::Pos);
+        b.out.add_listener(count_b, Edge::Pos);
+        b.out.add_listener(both, Edge::Pos);
+        if (full) {
+            a.out.add_listener(count_a, Edge::Wake);
+            b.out.add_listener(count_b, Edge::Wake);
+        }
+    }
+    [[nodiscard]] std::vector<Logic> levels() const {
+        return {a.out.read(), b.out.read()};
+    }
+};
+
+TEST(KernelFastPath, TwoClocksWithCoincidingEdgesMatchTheFullPath) {
+    TwoClockDesign fast(false);
+    TwoClockDesign full(true);
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 150 * NS, kNothingBetween));
+    // a rises 15 times by 150 ns and b 11 times; `both` runs once at each
+    // of the 24 distinct rise times, as 35 ns and 105 ns are shared.
+    EXPECT_EQ(fast.na.read(), 15);
+    EXPECT_EQ(fast.nb.read(), 11);
+    EXPECT_EQ(fast.both.invocations(), 24u);
+    EXPECT_EQ(fast.sch.stats.proc_invocations, 50u);
 }
 
 /// Three posedge processes on one clock; the middle one notifies both of

@@ -3,6 +3,11 @@
 // full-system simulation rate (the denominator of every Table II number).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "kernel/kernel.hpp"
 
 namespace {
@@ -45,16 +50,24 @@ BENCHMARK(bm_signal_commit);
 /// One clock edge fanning out to N sequential posedge processes — the inner
 /// loop of the full-system simulation. With `wake`, the first process also
 /// gets an Edge::Wake listener; it never gates, so that changes no run, but
-/// the clock is no longer posedge-only and every edge pops and fires.
-void clock_fanout(benchmark::State& state, bool wake) {
+/// the clock is no longer posedge-only and every edge pops and fires. Every
+/// process after the first `open` gates itself for good at its first run.
+void clock_fanout(benchmark::State& state, bool wake,
+                  std::size_t open = SIZE_MAX) {
     const auto n = static_cast<std::size_t>(state.range(0));
     Scheduler sch;
     Clock clk(sch, "clk", 10 * NS);
     std::vector<std::unique_ptr<Process>> procs;
     std::uint64_t sink = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        procs.push_back(
-            std::make_unique<Process>(sch, "p", [&sink] { ++sink; }));
+        std::function<void()> body = [&sink] { ++sink; };
+        if (i >= open) {
+            body = [&sink, &procs, i] {
+                ++sink;
+                procs[i]->gate();
+            };
+        }
+        procs.push_back(std::make_unique<Process>(sch, "p", std::move(body)));
         clk.out.add_listener(*procs.back(), Edge::Pos);
     }
     if (wake) clk.out.add_listener(*procs.front(), Edge::Wake);
@@ -72,6 +85,12 @@ void bm_clock_fanout_wake(benchmark::State& state) {
     clock_fanout(state, true);
 }
 BENCHMARK(bm_clock_fanout_wake)->Arg(16);
+
+/// What a mostly gated edge costs: two of the N processes stay open.
+void bm_clock_fanout_gated(benchmark::State& state) {
+    clock_fanout(state, false, 2);
+}
+BENCHMARK(bm_clock_fanout_gated)->Arg(64);
 
 /// The allocation-free event path: an intrusive node rescheduling itself,
 /// as a Clock does — the single hottest loop in any full-system run.

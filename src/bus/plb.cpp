@@ -81,9 +81,8 @@ void Plb::clear_pulses() {
     }
 }
 
-void Plb::check_master_signals(unsigned m) {
-    PlbMasterPort& p = *ports_[m];
-    if (is_unknown(p.req.read()) && x_reports_[m] < 5) {
+void Plb::report_x_req(unsigned m) {
+    if (x_reports_[m] < 5) {
         ++x_reports_[m];
         report("protocol: X/Z on req of master " + std::to_string(m) +
                " — unisolated reconfiguration traffic?");
@@ -172,10 +171,10 @@ void Plb::on_clock() {
     // Starvation accounting and X sniffing run every cycle.
     bool any_req = false;  // some req is high or X
     for (unsigned m = 0; m < num_masters(); ++m) {
-        check_master_signals(m);
-        any_req = any_req || !is0(ports_[m]->req.read());
-        if (is1(ports_[m]->req.read()) &&
-            !(state_ != St::Idle && m == owner_)) {
+        const Logic req = ports_[m]->req.read();
+        if (is_unknown(req)) report_x_req(m);
+        any_req = any_req || !is0(req);
+        if (is1(req) && !(state_ != St::Idle && m == owner_)) {
             ++mcounters_[m].grant_wait_cycles;
             if (++starve_[m] == cfg_.grant_timeout) {
                 report("starvation: master " + std::to_string(m) +

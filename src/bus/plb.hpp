@@ -166,7 +166,8 @@ private:
     void arbitrate();
     void clear_pulses();
     PlbSlaveIf* decode(std::uint32_t addr) const;
-    void check_master_signals(unsigned m);
+    /// The X/Z-on-req protocol report, at most five per master.
+    void report_x_req(unsigned m);
 
     Config cfg_;
     Signal<Logic>& clk_;

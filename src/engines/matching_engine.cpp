@@ -1,7 +1,8 @@
 #include "matching_engine.hpp"
 
 #include <algorithm>
-#include <bit>
+
+#include "video/census.hpp"
 
 namespace autovision {
 
@@ -257,8 +258,7 @@ unsigned MatchingEngine::cost(unsigned x, unsigned y, int dx, int dy) const {
                 sample(cur_, static_cast<int>(x) + ox, static_cast<int>(y) + oy);
             const std::uint8_t b = sample(prev_, static_cast<int>(x) - dx + ox,
                                           static_cast<int>(y) - dy + oy);
-            c += static_cast<unsigned>(std::popcount(
-                static_cast<unsigned>(a ^ b)));
+            c += video::signature_distance(a, b);
         }
     }
     return c;

@@ -1,5 +1,6 @@
 #include "scheduler.hpp"
 
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -35,6 +36,21 @@ SignalBase::~SignalBase() {
     sch_.unregister_signal(this);
 }
 
+void SignalBase::add_listener(Process& p, Edge e) {
+    for (const Listener& l : listeners_) {
+        if (l.proc == &p && l.edge == e) return;
+    }
+    pos_only_ = e == Edge::Pos && (listeners_.empty() || pos_only_);
+    const auto pos = static_cast<std::uint32_t>(listeners_.size());
+    // A member added during a walk has missed it: it starts at walks_.
+    listeners_.push_back({&p, p.index(), e, walks_});
+    if (pos % 64 == 0) open_.push_back(0);
+    if (e == Edge::Pos) {
+        p.pos_slots_.push_back({this, pos});
+        set_open(pos, !p.gated());
+    }
+}
+
 void SignalBase::notify_listeners(bool rising, bool falling) {
     if (sch_.edge_sig_ != nullptr) sch_.flush_edge();
     for (const Listener& l : listeners_) {
@@ -46,7 +62,9 @@ void SignalBase::notify_listeners(bool rising, bool falling) {
             case Edge::Neg:
                 if (falling) sch_.notify_process(l.proc, l.idx);
                 break;
-            case Edge::Wake: sch_.gate_flags_[l.idx] = 0; break;
+            case Edge::Wake:
+                if (sch_.gate_flags_[l.idx] != 0) l.proc->wake();
+                break;
         }
     }
 }
@@ -89,15 +107,24 @@ void Scheduler::schedule_at(Time t, std::function<void()> fn) {
 void Scheduler::notify_from_body(Process* p) {
     // The ordinary queue sets every member's scheduled flag at fan-out and
     // clears it just before the member runs, so a notify() lands as a no-op
-    // on a member still ahead and queues one already passed for the next
-    // delta. A walk reproduces that by looking ahead of its position.
-    if (edge_sig_ != nullptr) {
-        const std::vector<SignalBase::Listener>& ls = edge_sig_->listeners_;
-        for (std::size_t i = walk_pos_ + 1; i < walk_end_; ++i) {
-            if (ls[i].proc == p) return;
-        }
+    // on a member still ahead, gated or not, and queues one already passed
+    // for the next delta. A walk reproduces that by the member's position.
+    for (const Process::PosSlot& slot : p->pos_slots_) {
+        if (walk_has_yet_to_reach(slot)) return;
     }
     notify_process(p, p->index_);
+}
+
+std::uint64_t Scheduler::skipped_of(const Process& p) const noexcept {
+    std::uint64_t n = skip_counts_[p.index_];
+    for (const Process::PosSlot& slot : p.pos_slots_) {
+        const SignalBase& s = *slot.sig;
+        n += s.walks_ - s.listeners_[slot.pos].ran;
+        // The walk in progress counts itself in walks_ from its start, but a
+        // member it has yet to reach has not been passed over.
+        if (walk_has_yet_to_reach(slot)) --n;
+    }
+    return n;
 }
 
 void Scheduler::flush_edge() {
@@ -109,15 +136,43 @@ void Scheduler::flush_edge() {
 }
 
 void Scheduler::run_edge() {
+    SignalBase* s = edge_sig_;
+    ++s->walks_;
     // Indexed, not iterated: a body may add listeners to the signal. Those
     // join at the next edge, as they would have missed this fan-out.
-    const std::vector<SignalBase::Listener>& ls = edge_sig_->listeners_;
-    walk_end_ = ls.size();
-    for (walk_pos_ = 0; walk_pos_ < walk_end_; ++walk_pos_) {
-        const SignalBase::Listener& l = ls[walk_pos_];
-        if (open(l.idx)) l.proc->invoke();
+    walk_end_ = s->listeners_.size();
+    for (std::size_t base = 0; base < walk_end_; base += 64) {
+        const std::size_t n = walk_end_ - base;
+        const std::uint64_t in_walk =
+            n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+        const std::size_t w = base / 64;
+        std::uint64_t due = s->open_[w] & in_walk;
+        while (due != 0) {
+            const int b = std::countr_zero(due);
+            walk_pos_ = base + static_cast<std::size_t>(b);
+            SignalBase::Listener& l = s->listeners_[walk_pos_];
+            ++l.ran;
+            ++stats.proc_invocations;
+            l.proc->invoke();
+            // The live word, past this member: a body may have woken or
+            // gated one ahead, and one passed waits for the next edge.
+            due = s->open_[w] & in_walk & ~((std::uint64_t{2} << b) - 1);
+        }
     }
+    assert(open_set_in_step(*s));
+    walk_end_ = 0;
     edge_sig_ = nullptr;
+}
+
+bool Scheduler::open_set_in_step(const SignalBase& s) const {
+    for (std::size_t i = 0; i < s.listeners_.size(); ++i) {
+        const SignalBase::Listener& l = s.listeners_[i];
+        const bool bit = (s.open_[i / 64] >> (i % 64) & 1) != 0;
+        if (bit != (l.edge == Edge::Pos && gate_flags_[l.idx] == 0)) {
+            return false;
+        }
+    }
+    return true;
 }
 
 bool Scheduler::commit_and_notify(std::uint32_t ref) {
@@ -217,69 +272,73 @@ void Scheduler::settle() {
     }
 }
 
-void Scheduler::toggle_in_place(TimedEvent& ev) {
-    SignalBase* s = ev.toggles_;
-    assert(edge_sig_ == nullptr && "settle() walks every recorded edge");
-    assert(SignalStore::kind_of(s->ref_) == SignalStore::kLogic);
+// Tracer::sample is declared in trace.hpp; call through a thunk to avoid a
+// header dependency cycle.
+void tracer_sample_thunk(Tracer*, Time);
+
+void Scheduler::sample_tracer() {
+    // After all deltas settle, so each timestamp appears once.
+    if (tracer_ != nullptr) tracer_sample_thunk(tracer_, now_);
+}
+
+void Scheduler::toggle_in_place(TimedEvent* ev, Time bound) {
     constexpr auto k1 = static_cast<std::uint8_t>(Logic::L1);
     constexpr auto k0 = static_cast<std::uint8_t>(Logic::L0);
-    now_ = ev.time_;
-    const std::uint32_t slot = SignalStore::slot_of(s->ref_);
-    const bool rising = store_.logic_cur[slot] != k1;
-    store_.logic_cur[slot] = rising ? k1 : k0;
-    store_.logic_next[slot] = store_.logic_cur[slot];
-    // The timestep, its one timed event, and the delta that fire()'s write
-    // would commit in: the counts are the same on either path.
+    do {
+        SignalBase* s = ev->toggles_;
+        assert(edge_sig_ == nullptr && "settle() walks every recorded edge");
+        assert(SignalStore::kind_of(s->ref_) == SignalStore::kLogic);
+        now_ = ev->time_;
+        const std::uint32_t slot = SignalStore::slot_of(s->ref_);
+        const bool rising = store_.logic_cur[slot] != k1;
+        store_.logic_cur[slot] = rising ? k1 : k0;
+        store_.logic_next[slot] = store_.logic_cur[slot];
+        // The timestep, its one timed event, and the delta that fire()'s
+        // write would commit in: the counts are the same on either path.
+        ++stats.time_steps;
+        ++stats.timed_events;
+        ++stats.delta_cycles;
+        ++stats.signal_updates;
+        // Before settling, as fire() reschedules before the deltas run, so
+        // a body's schedule_at() for the same future time orders after it.
+        queue_.reschedule_front(now_ + ev->half_);
+        // A fall of a posedge-only signal wakes nobody.
+        if (rising) {
+            edge_sig_ = s;
+            settle();
+        }
+        sample_tracer();
+        // A body may have queued work, scheduled a closure or requested a
+        // stop: the next toggle re-checks.
+        ev = in_place_front(bound);
+    } while (ev != nullptr);
+}
+
+void Scheduler::fire_step() {
+    TimedEvent* ev = queue_.pop_step(now_);
     ++stats.time_steps;
-    ++stats.timed_events;
-    ++stats.delta_cycles;
-    ++stats.signal_updates;
-    // Before settling, as fire() reschedules before the deltas run, so a
-    // body's schedule_at() for the same future time still orders after it.
-    queue_.reschedule_front(now_ + ev.half_);
-    // A fall of a posedge-only signal wakes nobody.
-    if (rising) {
-        edge_sig_ = s;
-        settle();
+    // Fire the chain popped for this timestep. Events scheduled while it
+    // runs — including at the current time — land in the queue for a later
+    // timestep, exactly as with the old per-timestamp vectors.
+    while (ev != nullptr) {
+        TimedEvent* next = ev->next_;
+        ev->next_ = nullptr;
+        ev->pending_ = false;
+        ++stats.timed_events;
+        ev->fire();
+        ev = next;
     }
+    settle();
+    sample_tracer();
 }
 
 bool Scheduler::advance() {
-    if (stop_requested_) return false;
-    // A lone clock toggle of a posedge-only signal runs in place when
-    // nothing else is due. Test code may write or notify() between
-    // run_until() calls (a write of the clock itself sits in updates_ too),
-    // and a profiled run fans out so that invoke_profiled() sees every
-    // process. The test stays inline: every other timestep pays it.
-    TimedEvent* front = queue_.lone_front();
-    if (front != nullptr && front->toggles_ != nullptr &&
-        front->toggles_->pos_only_ && runnable_.empty() && updates_.empty() &&
-        !profiling_) {
-        toggle_in_place(*front);
+    Time next = 0;
+    if (stop_requested_ || !queue_.peek_next(next)) return false;
+    if (TimedEvent* ev = in_place_front(next)) {
+        toggle_in_place(ev, next);
     } else {
-        TimedEvent* ev = queue_.pop_step(now_);
-        if (ev == nullptr) return false;
-        ++stats.time_steps;
-
-        // Fire the chain popped for this timestep. Events scheduled while it
-        // runs — including at the current time — land in the queue for a
-        // later advance(), exactly as with the old per-timestamp vectors.
-        while (ev != nullptr) {
-            TimedEvent* next = ev->next_;
-            ev->next_ = nullptr;
-            ev->pending_ = false;
-            ++stats.timed_events;
-            ev->fire();
-            ev = next;
-        }
-        settle();
-    }
-    // Tracing happens after all deltas settle so each timestamp appears once.
-    if (tracer_ != nullptr) {
-        // Tracer::sample is declared in trace.hpp; call through a thunk to
-        // avoid a header dependency cycle.
-        extern void tracer_sample_thunk(Tracer*, Time);
-        tracer_sample_thunk(tracer_, now_);
+        fire_step();
     }
     return true;
 }
@@ -287,7 +346,11 @@ bool Scheduler::advance() {
 void Scheduler::run_until(Time t) {
     Time next = 0;
     while (!stop_requested_ && queue_.peek_next(next) && next <= t) {
-        advance();
+        if (TimedEvent* ev = in_place_front(t)) {
+            toggle_in_place(ev, t);
+        } else {
+            fire_step();
+        }
     }
     if (!stop_requested_ && t > now_) now_ = t;
 }
@@ -368,7 +431,7 @@ void Scheduler::ckpt_save(SnapWriter& w) const {
     w.u32(static_cast<std::uint32_t>(procs_.size()));
     for (std::size_t i = 0; i < procs_.size(); ++i) {
         w.bool8(gate_flags_[i] != 0);
-        w.u64(skip_counts_[i]);
+        w.u64(skipped_of(*procs_[i]));
     }
 }
 
@@ -401,8 +464,15 @@ bool Scheduler::ckpt_restore(SnapReader& r) {
     for (std::size_t i = 0; i < procs_.size(); ++i) {
         const std::uint8_t gated = r.u8();
         if (gated > 1) return false;
+        // The saved count is the whole skipped(): load it as the eager
+        // count, mark every Pos listener's walks as its own, and set its
+        // open bits from the restored gate.
         gate_flags_[i] = gated;
         skip_counts_[i] = r.u64();
+        for (const Process::PosSlot& slot : procs_[i]->pos_slots_) {
+            slot.sig->listeners_[slot.pos].ran = slot.sig->walks_;
+            slot.sig->set_open(slot.pos, gated == 0);
+        }
     }
     return r.ok_so_far();
 }

@@ -23,10 +23,11 @@
 // the per-process loop; and an idle clocked process can gate itself so the
 // evaluate loop skips its body until a wake (DESIGN.md "Activity gating").
 // A rising commit of a signal whose listeners all want only its rising edge
-// runs them in place in the next evaluate phase instead of queueing them one
-// by one, and its other changes wake nobody. A toggle of such a clock that
-// is alone at the front of the queue, with nothing else due, runs in place
-// too: no pop, push, fire() or commit delta (DESIGN.md "Kernel event path").
+// runs its open members in place in the next evaluate phase, found by a bit
+// per listener, instead of queueing them one by one, and its other changes
+// wake nobody. Toggles of such a clock that is alone at the front of the
+// queue, with nothing else due, run in place too, cycle after cycle in one
+// loop: no pop, push, fire() or commit delta (DESIGN.md "Kernel event path").
 //
 // Evaluation is sequential; DESIGN.md §13 records why.
 #pragma once
@@ -86,9 +87,10 @@ public:
     [[nodiscard]] std::uint64_t invocations() const noexcept { return invocations_; }
 
     // --- activity gating (DESIGN.md "Activity gating") --------------------
-    // The gate flag and the skipped count live in the scheduler's dense
-    // per-process arrays, so the evaluate loop tests a gate without loading
-    // the Process.
+    // The gate flag and the eager skipped count live in the scheduler's
+    // dense per-process arrays, so the evaluate loop tests a gate without
+    // loading the Process; each Edge::Pos listener position also holds an
+    // open bit in its signal, which the in-place walk reads.
     /// Called by a clocked body whose next run would change nothing: the
     /// evaluate loop skips the process, uncounted, until a wake. A wake is
     /// a committed change on an Edge::Wake signal or an explicit wake().
@@ -98,7 +100,8 @@ public:
     void wake() noexcept;
     [[nodiscard]] bool gated() const noexcept;
     /// Triggers swallowed while gated: what invocations() would have added.
-    /// Per-cycle counters of a gated module add this to stay exact.
+    /// Per-cycle counters of a gated module add this to stay exact. Exact at
+    /// any point, also from a body in the middle of a walk.
     [[nodiscard]] std::uint64_t skipped() const noexcept;
 
     /// Dense registration index (assigned at construction; stable for the
@@ -114,6 +117,7 @@ public:
 
 private:
     friend class Scheduler;
+    friend class SignalBase;
 
     /// Run the body of an open process. Hot path: no profiling branch — the
     /// scheduler selects between this and invoke_profiled() once per delta,
@@ -125,12 +129,20 @@ private:
 
     void invoke_profiled();
 
+    /// One of this process's Edge::Pos listener positions.
+    struct PosSlot {
+        SignalBase* sig;
+        std::uint32_t pos;
+    };
+
     Scheduler& sch_;
     std::string name_;
     std::function<void()> fn_;
     std::uint32_t index_ = 0;
     std::uint64_t invocations_ = 0;
     std::chrono::nanoseconds self_time_{0};
+    /// Where gate() and wake() keep the signals' open bits in step.
+    std::vector<PosSlot> pos_slots_;
 };
 
 /// Base class for all signals: owns the sensitivity fan-out, the packed
@@ -151,13 +163,7 @@ public:
     /// touches the scheduled-flag array without chasing the Process object.
     /// A repeated (process, edge) pair is dropped: the scheduled flag makes
     /// it a no-op, and the in-place rising-edge walk needs each process once.
-    void add_listener(Process& p, Edge e) {
-        for (const Listener& l : listeners_) {
-            if (l.proc == &p && l.edge == e) return;
-        }
-        pos_only_ = e == Edge::Pos && (listeners_.empty() || pos_only_);
-        listeners_.push_back({&p, p.index(), e});
-    }
+    void add_listener(Process& p, Edge e);
 
     /// Packed (kind, slot) reference into the scheduler's SignalStore.
     [[nodiscard]] std::uint32_t store_ref() const noexcept { return ref_; }
@@ -199,9 +205,24 @@ private:
         Process* proc;
         std::uint32_t idx;  ///< cached proc->index()
         Edge edge;
+        /// Edge::Pos: walks_ when the member registered, plus one for each
+        /// walk that ran it, so walks_ - ran is the walks it was gated for.
+        std::uint64_t ran;
     };
+
+    void set_open(std::uint32_t pos, bool open) noexcept {
+        const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+        std::uint64_t& w = open_[pos / 64];
+        w = open ? (w | bit) : (w & ~bit);
+    }
+
     std::string name_;
     std::vector<Listener> listeners_;
+    /// The open set: bit i of word i / 64 is set iff listener i is
+    /// Edge::Pos and its process's gate is open.
+    std::vector<std::uint64_t> open_;
+    /// Rising edges of this signal walked in place (Scheduler::run_edge).
+    std::uint64_t walks_ = 0;
     std::uint32_t ref_ = SignalStore::kInvalidRef;
     bool update_requested_ = false;
     /// At least one listener, and every listener is Edge::Pos: only a
@@ -314,7 +335,7 @@ public:
     [[nodiscard]] bool ckpt_quiescent() const;
 
     /// Serialize the kernel core: sim time, stop state, stats, diagnostics,
-    /// and the gate table (each process's gate flag and skipped count, in
+    /// and the gate table (each process's gate flag and skipped(), in
     /// registration order).
     void ckpt_save(SnapWriter& w) const;
     /// Restore the kernel core into a freshly elaborated scheduler: drains
@@ -323,9 +344,11 @@ public:
     /// writes are rejected: a stop byte other than 0/1, more than kMaxDiags
     /// stored diagnostics, a dropped count with fewer than kMaxDiags
     /// stored, a gate table whose length is not the elaborated process
-    /// count, or a gate flag other than 0/1. Event sources must re-schedule
-    /// themselves afterwards (Clock/ResetGen::ckpt_restore), at times they
-    /// have checked against the restored now().
+    /// count, or a gate flag other than 0/1. The skipped counts load as
+    /// eager counts, with the open bits and ran marks rebuilt to match.
+    /// Event sources must re-schedule themselves afterwards
+    /// (Clock/ResetGen::ckpt_restore), at times they have checked against
+    /// the restored now().
     [[nodiscard]] bool ckpt_restore(SnapReader& r);
 
     /// Serialize every registered signal (elaboration order), each tagged
@@ -374,8 +397,23 @@ private:
         gate_flags_.push_back(0);
         skip_counts_.push_back(0);
     }
-    /// Evaluate-loop gate test: an open process is counted and returns
-    /// true; a gated one only counts the trigger as skipped.
+    /// Process::gate()/wake(): the gate flag and the process's open bits.
+    void set_gate(const Process& p, bool gated) noexcept {
+        gate_flags_[p.index_] = gated ? 1 : 0;
+        for (const Process::PosSlot& s : p.pos_slots_) {
+            s.sig->set_open(s.pos, !gated);
+        }
+    }
+    /// Process::skipped(): the eager count plus the walks each Pos listener
+    /// was gated for, less the walk in progress where it has yet to reach.
+    [[nodiscard]] std::uint64_t skipped_of(const Process& p) const noexcept;
+    /// True when `s` lies on the walk in progress, past the running member.
+    [[nodiscard]] bool walk_has_yet_to_reach(
+        const Process::PosSlot& s) const noexcept {
+        return s.sig == edge_sig_ && s.pos > walk_pos_ && s.pos < walk_end_;
+    }
+    /// Ordinary evaluate-loop gate test: an open process is counted and
+    /// returns true; a gated one counts the trigger as skipped, eagerly.
     bool open(std::uint32_t idx) {
         if (gate_flags_[idx] != 0) {
             ++skip_counts_[idx];
@@ -392,14 +430,39 @@ private:
     /// Fan a recorded rising edge out into the ordinary queue, in listener
     /// order, before any other notification of the same update phase.
     void flush_edge();
-    /// Evaluate phase of a recorded rising edge: run the open listeners in
-    /// listener order, testing each gate when the walk reaches it.
+    /// Evaluate phase of a recorded rising edge: run the members whose open
+    /// bit is set, in listener order, re-reading the live word after each
+    /// body so a gate counts as it stands when the walk reaches it.
     void run_edge();
-    /// Run the timestep of `ev`, the queue's lone front and a clock toggle
-    /// of a posedge-only signal, with nothing else due (advance() checks):
-    /// toggle the level, count what fire() and the commit delta would, move
-    /// the node on by half a period and, on a rise, settle the edge.
-    void toggle_in_place(TimedEvent& ev);
+    /// True when every Edge::Pos listener's open bit equals its gate being
+    /// open, and no other listener's bit is set (a Debug check).
+    [[nodiscard]] bool open_set_in_step(const SignalBase& s) const;
+    /// The queue's front when its timestep, due by `bound`, is a toggle that
+    /// can run in place, else nullptr: the front is a clock's toggle node
+    /// alone at its time, its signal is posedge-only, and nothing else is
+    /// due. Test code may write or notify() between run_until() calls (a
+    /// write of the clock itself sits in updates_ too), and a profiled run
+    /// fans out so that invoke_profiled() sees every process. Inline: every
+    /// timestep pays it.
+    [[nodiscard]] TimedEvent* in_place_front(Time bound) const noexcept {
+        TimedEvent* ev = queue_.lone_front();
+        if (ev == nullptr || ev->time_ > bound || ev->toggles_ == nullptr ||
+            !ev->toggles_->pos_only_ || !runnable_.empty() ||
+            !updates_.empty() || profiling_ || stop_requested_) {
+            return nullptr;
+        }
+        return ev;
+    }
+    /// Run toggles in place from `ev` (in_place_front(bound)) for as long as
+    /// in_place_front(bound) finds the next: each toggles the level, counts
+    /// what fire() and the commit delta would, moves the node on by half a
+    /// period and, on a rise, settles the edge.
+    void toggle_in_place(TimedEvent* ev, Time bound);
+    /// Pop the earliest timestep (the queue is not empty), fire its events,
+    /// settle and sample the tracer.
+    void fire_step();
+    /// Sample an attached tracer once a timestep has settled.
+    void sample_tracer();
     /// Drain the event queue and rebuild the closure-event free list.
     void ckpt_clear_events();
     void recycle(FnEvent* ev) noexcept {
@@ -431,13 +494,15 @@ private:
     /// Flat scheduled flags indexed by Process::index(): the fan-out hot
     /// loop tests/sets one dense byte instead of touching each Process.
     std::vector<std::uint8_t> sched_flags_;
-    /// Gate flags and skipped counts, indexed the same way: a gated process
-    /// costs the evaluate loop one byte test and one increment.
+    /// Gate flags and the ordinary queue's skipped counts, indexed the same
+    /// way. The in-place walk never visits a gated member, so its skips are
+    /// derived from the walk counts instead (skipped_of()).
     std::vector<std::uint8_t> gate_flags_;
     std::vector<std::uint64_t> skip_counts_;
 
     /// The rising edge the next evaluate phase walks in place, recorded by
-    /// commit_and_notify(), and the walk's position and end while it runs.
+    /// commit_and_notify(), and while it runs the running member's position
+    /// and the walk's end (0 outside a walk).
     SignalBase* edge_sig_ = nullptr;
     std::size_t walk_pos_ = 0;
     std::size_t walk_end_ = 0;
@@ -449,13 +514,13 @@ private:
     Tracer* tracer_ = nullptr;
 };
 
-inline void Process::gate() noexcept { sch_.gate_flags_[index_] = 1; }
-inline void Process::wake() noexcept { sch_.gate_flags_[index_] = 0; }
+inline void Process::gate() noexcept { sch_.set_gate(*this, true); }
+inline void Process::wake() noexcept { sch_.set_gate(*this, false); }
 inline bool Process::gated() const noexcept {
     return sch_.gate_flags_[index_] != 0;
 }
 inline std::uint64_t Process::skipped() const noexcept {
-    return sch_.skip_counts_[index_];
+    return sch_.skipped_of(*this);
 }
 
 }  // namespace rtlsim

@@ -20,6 +20,17 @@ inline constexpr int kCensusOffsets[8][2] = {
     {1, 1},   {0, 1},  {-1, 1}, {-1, 0},
 };
 
+/// Hamming distance of two census signatures, the per-pixel match cost.
+/// A byte popcount by SWAR: std::popcount compiles to a libgcc call on a
+/// target without a popcount instruction (no -mpopcnt or -march here).
+[[nodiscard]] constexpr unsigned signature_distance(std::uint8_t a,
+                                                    std::uint8_t b) noexcept {
+    unsigned v = static_cast<unsigned>(a ^ b);
+    v -= (v >> 1) & 0x55u;
+    v = (v & 0x33u) + ((v >> 2) & 0x33u);
+    return (v + (v >> 4)) & 0x0Fu;
+}
+
 /// Signature of the 3x3 neighbourhood centred at (x, y), edge-clamped.
 [[nodiscard]] std::uint8_t census_signature(const Frame& f, unsigned x,
                                             unsigned y);

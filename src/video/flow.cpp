@@ -1,9 +1,10 @@
 #include "flow.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <thread>
+
+#include "census.hpp"
 
 namespace autovision::video {
 
@@ -41,8 +42,7 @@ unsigned match_cost(const Frame& prev_census, const Frame& cur_census,
                 static_cast<int>(x) + ox, static_cast<int>(y) + oy);
             const std::uint8_t prv = prev_census.at_clamped(
                 static_cast<int>(x) - dx + ox, static_cast<int>(y) - dy + oy);
-            cost += static_cast<unsigned>(
-                std::popcount(static_cast<unsigned>(cur ^ prv)));
+            cost += signature_distance(cur, prv);
         }
     }
     return cost;

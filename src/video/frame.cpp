@@ -6,12 +6,6 @@
 
 namespace autovision::video {
 
-std::uint8_t Frame::at_clamped(int x, int y) const {
-    const int cx = std::clamp(x, 0, static_cast<int>(w_) - 1);
-    const int cy = std::clamp(y, 0, static_cast<int>(h_) - 1);
-    return at(static_cast<unsigned>(cx), static_cast<unsigned>(cy));
-}
-
 std::size_t Frame::count_mismatches(const Frame& o) const {
     if (w_ != o.w_ || h_ != o.h_) return size() + o.size();
     std::size_t n = 0;

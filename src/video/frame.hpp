@@ -5,6 +5,7 @@
 // significant byte), matching the PowerPC byte order used everywhere else.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -31,8 +32,13 @@ public:
     }
 
     /// Clamped access: coordinates outside the frame read the nearest edge
-    /// pixel (the border policy of the census engine).
-    [[nodiscard]] std::uint8_t at_clamped(int x, int y) const;
+    /// pixel (the border policy of the census engine). Inline: the census,
+    /// Sobel and flow models call it once per neighbour pixel.
+    [[nodiscard]] std::uint8_t at_clamped(int x, int y) const {
+        const int cx = std::clamp(x, 0, static_cast<int>(w_) - 1);
+        const int cy = std::clamp(y, 0, static_cast<int>(h_) - 1);
+        return at(static_cast<unsigned>(cx), static_cast<unsigned>(cy));
+    }
 
     [[nodiscard]] std::span<const std::uint8_t> pixels() const noexcept {
         return pix_;

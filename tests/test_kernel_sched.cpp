@@ -1,6 +1,7 @@
 // Unit tests for the event scheduler, signals, processes and tracing.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -645,12 +646,13 @@ TEST(KernelFastPath, EdgesMatchTheFullPathAtEveryPoint) {
 // nothing else due neither fires nor commits in a delta of its own. Each
 // case below steps the twins through every nanosecond and 1 ps past it.
 
-/// Run both twins to every nanosecond of (0, end] and 1 ps past it, and
-/// call `between(twin, t)` on each once it stops at t. They must agree on
-/// every count, clock level and checkpoint byte at every stop.
+/// Run both twins to every nanosecond of [start, end] and 1 ps past it,
+/// and call `between(twin, t)` on each once it stops at t. They must agree
+/// on every count, clock level and checkpoint byte at every stop.
 template <typename Design, typename Between>
-void run_twins(Design& fast, Design& full, Time end, Between between) {
-    for (Time ns = NS; ns <= end; ns += NS) {
+void run_twins(Design& fast, Design& full, Time end, Between between,
+               Time start = NS) {
+    for (Time ns = start; ns <= end; ns += NS) {
         for (const Time t : {ns, ns + 1}) {
             fast.sch.run_until(t);
             full.sch.run_until(t);
@@ -836,6 +838,446 @@ TEST(KernelFastPath, ProcessOnTheEdgeAndAnotherSignalRunsOnce) {
         EXPECT_EQ(full.ran, want) << "x_first=" << x_first;
         EXPECT_EQ(fast.sch.stats, full.sch.stats) << "x_first=" << x_first;
     }
+}
+
+// --- the cycle loop and the open-set walk -----------------------------------
+// Consecutive in-place toggles run in one kernel loop, and a rising edge's
+// walk visits only the members whose open bit is set; a gated member's
+// skipped count is derived from the walk counts (DESIGN.md "Kernel event
+// path", "Activity gating"). Each case is again a fast twin against a full
+// twin that a Wake listener keeps on the ordinary path.
+
+/// Seventy posedge members of one clock, two open-set words. Member 0 counts
+/// cycles and wakes every seventh member in turn, 5 wakes 66 (an earlier
+/// member across the word boundary), 63 wakes its neighbour 64, and 67
+/// wakes 2 (a later member, back across the boundary). Those four never
+/// gate; every other member gates itself on two cycles in three.
+struct WideDesign {
+    static constexpr int kMembers = 70;
+    Scheduler sch;
+    Clock clk{sch, "clk", 10 * NS};
+    Signal<int> tick{sch, "tick", 0};
+    Signal<int> sum{sch, "sum", 0};
+    std::vector<std::unique_ptr<Process>> members;
+    std::vector<std::pair<Time, int>> ran;
+
+    explicit WideDesign(bool full) {
+        for (int i = 0; i < kMembers; ++i) {
+            std::string name = "m";
+            name += std::to_string(i);
+            members.push_back(std::make_unique<Process>(
+                sch, std::move(name), [this, i] { body(i); }));
+            clk.out.add_listener(*members.back(), Edge::Pos);
+        }
+        if (full) clk.out.add_listener(*members[0], Edge::Wake);
+    }
+
+    void body(int i) {
+        ran.emplace_back(sch.now(), i);
+        const int t = tick.read();
+        switch (i) {
+            case 0:
+                tick.write(t + 1);
+                for (int j = t % 7; j < kMembers; j += 7) members[j]->wake();
+                return;
+            case 5:
+                if (t % 3 == 0) members[66]->wake();
+                return;
+            case 63:
+                if (t % 4 == 1) members[64]->wake();
+                return;
+            case 67:
+                if (t % 5 == 2) members[2]->wake();
+                return;
+            default:
+                if (i == 40) sum.write(sum.read() + t);
+                if ((t + i) % 3 != 0) members[i]->gate();
+        }
+    }
+
+    [[nodiscard]] std::vector<Logic> levels() const { return {clk.out.read()}; }
+    [[nodiscard]] std::vector<std::uint8_t> save() const {
+        SnapWriter w;
+        sch.ckpt_save(w);
+        clk.ckpt_save(w);
+        sch.ckpt_save_signals(w);
+        return w.take();
+    }
+    [[nodiscard]] bool restore(const std::vector<std::uint8_t>& blob) {
+        SnapReader r(blob);
+        return sch.ckpt_restore(r) && clk.ckpt_restore(r) &&
+               sch.ckpt_restore_signals(r) && r.ok();
+    }
+};
+
+TEST(KernelFastPath, SeventyMembersAcrossTwoMaskWordsMatchTheFullPath) {
+    WideDesign fast(false);
+    WideDesign full(true);
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 300 * NS, kNothingBetween));
+    EXPECT_EQ(fast.ran, full.ran);
+    std::uint64_t skipped = 0;
+    for (int i = 0; i < WideDesign::kMembers; ++i) {
+        EXPECT_EQ(fast.members[i]->skipped(), full.members[i]->skipped())
+            << "member " << i;
+        EXPECT_EQ(fast.members[i]->invocations() + fast.members[i]->skipped(),
+                  30u)
+            << "member " << i << ": one trigger per rising edge";
+        skipped += fast.members[i]->skipped();
+    }
+    EXPECT_GT(skipped, 30u * WideDesign::kMembers / 2) << "mostly gated";
+    // Each cross-boundary waker ran its wakee in the wake's own delta or
+    // at the next edge, as the full path does.
+    const auto runs_of = [&](int i) {
+        std::vector<Time> v;
+        for (const auto& [t, m] : fast.ran) {
+            if (m == i) v.push_back(t);
+        }
+        return v;
+    };
+    EXPECT_FALSE(runs_of(64).empty());
+    EXPECT_FALSE(runs_of(66).empty());
+    EXPECT_FALSE(runs_of(2).empty());
+}
+
+TEST(KernelFastPath, SaveWhileGatedRestoreAndContinueMatchesTheFullPath) {
+    WideDesign fast(false);
+    WideDesign full(true);
+    fast.sch.run_until(123 * NS);
+    full.sch.run_until(123 * NS);
+    int gated = 0;
+    for (const auto& m : fast.members) gated += m->gated() ? 1 : 0;
+    ASSERT_GT(gated, 0);
+    ASSERT_TRUE(fast.sch.ckpt_quiescent());
+    const std::vector<std::uint8_t> blob = fast.save();
+    ASSERT_EQ(blob, full.save());
+
+    WideDesign warm(false);
+    ASSERT_TRUE(warm.restore(blob));
+    // A design that has already walked edges of its own restores the same
+    // way: its walk counts and run marks start over from the blob.
+    WideDesign used(false);
+    used.sch.run_until(57 * NS);
+    ASSERT_TRUE(used.restore(blob));
+    for (int i = 0; i < WideDesign::kMembers; ++i) {
+        ASSERT_EQ(warm.members[i]->gated(), fast.members[i]->gated());
+        ASSERT_EQ(warm.members[i]->skipped(), fast.members[i]->skipped());
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        run_twins(warm, full, 300 * NS, kNothingBetween, 124 * NS));
+    used.sch.run_until(300 * NS + 1);
+    for (int i = 0; i < WideDesign::kMembers; ++i) {
+        EXPECT_EQ(warm.members[i]->skipped(), full.members[i]->skipped())
+            << "member " << i;
+        EXPECT_EQ(used.members[i]->skipped(), full.members[i]->skipped())
+            << "member " << i;
+    }
+    EXPECT_EQ(warm.save(), full.save());
+    EXPECT_EQ(used.save(), full.save());
+}
+
+/// Two posedge members of one clock; `sleeper` gates itself after every
+/// run. `waker` wakes it on every third edge; `waker_first` puts the waker
+/// ahead of the sleeper in listener order.
+struct WakeOrderDesign {
+    Scheduler sch;
+    Clock clk{sch, "clk", 10 * NS};
+    Signal<int> n{sch, "n", 0};
+    std::vector<Time> slept_runs;
+    Process waker{sch, "waker", [this] {
+                      n.write(n.read() + 1);
+                      if (n.read() % 3 == 1) sleeper.wake();
+                  }};
+    Process sleeper{sch, "sleeper", [this] {
+                        slept_runs.push_back(sch.now());
+                        sleeper.gate();
+                    }};
+
+    WakeOrderDesign(bool full, bool waker_first) {
+        if (waker_first) clk.out.add_listener(waker, Edge::Pos);
+        clk.out.add_listener(sleeper, Edge::Pos);
+        if (!waker_first) clk.out.add_listener(waker, Edge::Pos);
+        if (full) clk.out.add_listener(waker, Edge::Wake);
+    }
+    [[nodiscard]] std::vector<Logic> levels() const { return {clk.out.read()}; }
+};
+
+TEST(KernelFastPath, EarlierMemberWakesALaterGatedOneInTheSameDelta) {
+    WakeOrderDesign fast(false, true);
+    WakeOrderDesign full(true, true);
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 100 * NS, kNothingBetween));
+    // The waker reads n = 1, 4 and 7 at the edges of 15, 45 and 75 ns, and
+    // each of its wakes runs the sleeper in the same delta.
+    EXPECT_EQ(fast.slept_runs,
+              (std::vector<Time>{5 * NS, 15 * NS, 45 * NS, 75 * NS}));
+    EXPECT_EQ(fast.slept_runs, full.slept_runs);
+    EXPECT_EQ(fast.sleeper.skipped(), 6u);
+    EXPECT_EQ(fast.sleeper.skipped(), full.sleeper.skipped());
+}
+
+TEST(KernelFastPath, LaterMemberWakesAnEarlierGatedOneAtTheNextEdge) {
+    WakeOrderDesign fast(false, false);
+    WakeOrderDesign full(true, false);
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 100 * NS, kNothingBetween));
+    // The sleeper was passed gated when the wake came, so that edge counts
+    // as skipped and it runs at the next one.
+    EXPECT_EQ(fast.slept_runs,
+              (std::vector<Time>{5 * NS, 25 * NS, 55 * NS, 85 * NS}));
+    EXPECT_EQ(fast.slept_runs, full.slept_runs);
+    EXPECT_EQ(fast.sleeper.skipped(), 6u);
+    EXPECT_EQ(fast.sleeper.skipped(), full.sleeper.skipped());
+}
+
+/// One member that gates itself once it has run, and reopens on a change
+/// of `en`, which a timed closure writes; a second member counts cycles.
+struct SelfGateDesign {
+    Scheduler sch;
+    Clock clk{sch, "clk", 10 * NS};
+    Signal<int> n{sch, "n", 0};
+    Signal<int> en{sch, "en", 0};
+    Signal<int> acc{sch, "acc", 0};
+    Process counter{sch, "counter", [this] { n.write(n.read() + 1); }};
+    Process once{sch, "once", [this] {
+                     acc.write(acc.read() + n.read());
+                     once.gate();
+                 }};
+
+    explicit SelfGateDesign(bool full) {
+        clk.out.add_listener(counter, Edge::Pos);
+        clk.out.add_listener(once, Edge::Pos);
+        en.add_listener(once, Edge::Wake);
+        if (full) clk.out.add_listener(counter, Edge::Wake);
+        for (const Time t : {33 * NS, 71 * NS}) {
+            sch.schedule_at(t, [this] { en.write(1 - en.read()); });
+        }
+    }
+    [[nodiscard]] std::vector<Logic> levels() const { return {clk.out.read()}; }
+};
+
+TEST(KernelFastPath, MemberThatGatesItselfAfterRunningMatchesTheFullPath) {
+    SelfGateDesign fast(false);
+    SelfGateDesign full(true);
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 100 * NS, kNothingBetween));
+    // Runs at 5 ns, then after each wake at the next edge: 35 and 75 ns.
+    EXPECT_EQ(fast.once.invocations(), 3u);
+    EXPECT_EQ(fast.once.skipped(), 7u);
+    EXPECT_EQ(fast.acc.read(), 0 + 3 + 7);
+    EXPECT_EQ(fast.acc.read(), full.acc.read());
+}
+
+/// Three posedge members; the middle one reads every member's skipped()
+/// from its body, in the middle of the walk.
+struct SkippedReadDesign {
+    Scheduler sch;
+    Clock clk{sch, "clk", 10 * NS};
+    Signal<int> n{sch, "n", 0};
+    std::vector<std::uint64_t> reads;
+    Process first{sch, "first", [this] {
+                      if (n.read() % 4 != 0) first.gate();
+                  }};
+    Process reader{sch, "reader", [this] {
+                       n.write(n.read() + 1);
+                       for (const Process* p : {&first, &reader, &last}) {
+                           reads.push_back(p->skipped());
+                       }
+                       if (n.read() % 4 == 3) {
+                           first.wake();
+                           last.wake();
+                       }
+                   }};
+    Process last{sch, "last", [this] {
+                     if (n.read() % 3 != 0) last.gate();
+                 }};
+
+    explicit SkippedReadDesign(bool full) {
+        clk.out.add_listener(first, Edge::Pos);
+        clk.out.add_listener(reader, Edge::Pos);
+        clk.out.add_listener(last, Edge::Pos);
+        if (full) clk.out.add_listener(reader, Edge::Wake);
+    }
+    [[nodiscard]] std::vector<Logic> levels() const { return {clk.out.read()}; }
+};
+
+TEST(KernelFastPath, SkippedReadFromABodyMidWalkMatchesTheFullPath) {
+    SkippedReadDesign fast(false);
+    SkippedReadDesign full(true);
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 200 * NS, kNothingBetween));
+    ASSERT_EQ(fast.reads.size(), 3u * 20);
+    EXPECT_EQ(fast.reads, full.reads);
+    EXPECT_GT(fast.first.skipped(), 0u);
+    EXPECT_GT(fast.last.skipped(), 0u);
+}
+
+/// One member on the rising edges of two clocks, of 10 ns and 14 ns, that
+/// gates itself after every run. The first clock's counter, ahead of it,
+/// wakes it on every third edge; the second clock's counter, behind it,
+/// on every fourth. The clocks' rises coincide at 35 and 105 ns.
+struct TwoClockGateDesign {
+    Scheduler sch;
+    Clock a{sch, "a", 10 * NS};
+    Clock b{sch, "b", 14 * NS};
+    Signal<int> na{sch, "na", 0};
+    Signal<int> nb{sch, "nb", 0};
+    Signal<int> sum{sch, "sum", 0};
+    Process count_a{sch, "count_a", [this] {
+                        na.write(na.read() + 1);
+                        if (na.read() % 3 == 0) both.wake();
+                    }};
+    Process both{sch, "both", [this] {
+                     sum.write((sum.read() + na.read() + 2 * nb.read()) % 1000);
+                     both.gate();
+                 }};
+    Process count_b{sch, "count_b", [this] {
+                        nb.write(nb.read() + 1);
+                        if (nb.read() % 4 == 1) both.wake();
+                    }};
+
+    explicit TwoClockGateDesign(bool full) {
+        a.out.add_listener(count_a, Edge::Pos);
+        a.out.add_listener(both, Edge::Pos);
+        b.out.add_listener(both, Edge::Pos);
+        b.out.add_listener(count_b, Edge::Pos);
+        if (full) {
+            a.out.add_listener(count_a, Edge::Wake);
+            b.out.add_listener(count_b, Edge::Wake);
+        }
+    }
+    [[nodiscard]] std::vector<Logic> levels() const {
+        return {a.out.read(), b.out.read()};
+    }
+};
+
+TEST(KernelFastPath, OneMemberOnTwoClocksMatchesTheFullPath) {
+    TwoClockGateDesign fast(false);
+    TwoClockGateDesign full(true);
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 300 * NS, kNothingBetween));
+    // 30 rises of a and 21 of b, at 47 distinct times (35, 105, 175 and
+    // 245 ns are shared); each is one trigger the member ran or skipped.
+    EXPECT_EQ(fast.both.invocations() + fast.both.skipped(), 47u);
+    EXPECT_GT(fast.both.skipped(), fast.both.invocations());
+    EXPECT_EQ(fast.both.skipped(), full.both.skipped());
+    EXPECT_EQ(fast.sum.read(), full.sum.read());
+}
+
+/// A 400 ps clock, so one run_until() of a nanosecond runs up to five
+/// toggles in the loop. `count` counts rises and wakes `sleeper`, which
+/// gates itself, on every fourth; `hook` lets a case act from inside the
+/// loop, in count's body.
+struct LoopDesign {
+    Scheduler sch;
+    Clock clk{sch, "clk", 400 * PS};
+    Signal<int> n{sch, "n", 0};
+    Signal<int> acc{sch, "acc", 0};
+    std::vector<std::pair<Time, int>> seen;
+    std::function<void(LoopDesign&)> hook;
+    std::ostringstream vcd;
+    Tracer tracer{vcd};
+    Process count{sch, "count", [this] {
+                      n.write(n.read() + 1);
+                      if (n.read() % 4 == 0) sleeper.wake();
+                      if (hook) hook(*this);
+                  }};
+    Process sleeper{sch, "sleeper", [this] {
+                        acc.write(acc.read() + n.read());
+                        sleeper.gate();
+                    }};
+
+    explicit LoopDesign(bool full) {
+        clk.out.add_listener(count, Edge::Pos);
+        clk.out.add_listener(sleeper, Edge::Pos);
+        if (full) clk.out.add_listener(count, Edge::Wake);
+    }
+    [[nodiscard]] std::vector<Logic> levels() const { return {clk.out.read()}; }
+};
+
+TEST(KernelFastPath, ClosureScheduledInsideTheLoopMatchesTheFullPath) {
+    LoopDesign fast(false);
+    LoopDesign full(true);
+    // Rises sit at 200 + 400k ps. At the 7th a closure lands between the
+    // fall and the next rise, at the 11th one at the next rise's own time,
+    // and at the 15th one at the current time, in a timestep of its own.
+    const auto hook = [](LoopDesign& d) {
+        const int n = d.n.read();
+        const Time now = d.sch.now();
+        if (n == 6) {
+            d.sch.schedule_at(now + 300 * PS,
+                              [&d] { d.acc.write(d.acc.read() + 100); });
+        } else if (n == 10) {
+            d.sch.schedule_at(now + 400 * PS, [&d] { d.sleeper.notify(); });
+        } else if (n == 14) {
+            d.sch.schedule_at(now, [&d] {
+                d.seen.emplace_back(d.sch.now(), d.n.read());
+            });
+        }
+    };
+    fast.hook = hook;
+    full.hook = hook;
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 12 * NS, kNothingBetween));
+    EXPECT_EQ(fast.seen, full.seen);
+    EXPECT_EQ(fast.seen, (std::vector<std::pair<Time, int>>{{5800, 15}}));
+    EXPECT_EQ(fast.acc.read(), full.acc.read());
+    EXPECT_EQ(fast.n.read(), 30);
+}
+
+TEST(KernelFastPath, StopRequestedInsideTheLoopMatchesTheFullPath) {
+    LoopDesign fast(false);
+    LoopDesign full(true);
+    const auto hook = [](LoopDesign& d) {
+        if (d.n.read() == 8) d.sch.request_stop("ninth rise");
+    };
+    fast.hook = hook;
+    full.hook = hook;
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 6 * NS, kNothingBetween));
+    // The stop ends the loop at the 9th rise (3.4 ns); later bounds run
+    // nothing and leave the time where the stop left it.
+    EXPECT_TRUE(fast.sch.stop_requested());
+    EXPECT_EQ(fast.sch.stop_reason(), "ninth rise");
+    EXPECT_EQ(fast.sch.now(), 3400 * PS);
+    EXPECT_EQ(fast.sch.now(), full.sch.now());
+    EXPECT_EQ(fast.n.read(), 9);
+}
+
+TEST(KernelFastPath, TracerAttachedBetweenRunsMatchesTheFullPath) {
+    LoopDesign fast(false);
+    LoopDesign full(true);
+    const auto attach = [](LoopDesign& d, Time t) {
+        if (t != 3 * NS) return;
+        d.tracer.add(d.clk.out);
+        d.tracer.add(d.n);
+        d.tracer.add(d.acc);
+        d.sch.set_tracer(&d.tracer);
+    };
+    ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 8 * NS, attach));
+    fast.tracer.finish();
+    full.tracer.finish();
+    EXPECT_EQ(fast.vcd.str(), full.vcd.str());
+    // Every toggle after the attach is a timestep of its own.
+    EXPECT_NE(fast.vcd.str().find("#3200\n"), std::string::npos);
+    EXPECT_NE(fast.vcd.str().find("#8000\n"), std::string::npos);
+    EXPECT_EQ(fast.vcd.str().find("#2800\n"), std::string::npos);
+}
+
+TEST(KernelFastPath, BoundsBetweenAFallAndARiseMatchTheFullPath) {
+    LoopDesign fast(false);
+    LoopDesign full(true);
+    // Falls sit at 400k ps and rises at 400k + 200: each bound falls
+    // strictly between a fall and the next rise, after many toggles in one
+    // loop, two, or none; then a bound exactly on a rise, and past the
+    // fall after it.
+    for (const Time t : {Time{4100}, Time{4100}, Time{4199}, Time{4500},
+                         Time{9301}, Time{9399}, Time{9400}, Time{9401},
+                         Time{9700}}) {
+        fast.sch.run_until(t);
+        full.sch.run_until(t);
+        ASSERT_EQ(fast.sch.now(), t);
+        ASSERT_EQ(full.sch.now(), t);
+        ASSERT_EQ(fast.sch.stats, full.sch.stats) << "t=" << t;
+        ASSERT_EQ(fast.levels(), full.levels()) << "t=" << t;
+        ASSERT_EQ(blob_of(fast.sch), blob_of(full.sch)) << "t=" << t;
+        const bool after_rise = t == 9400 || t == 9401;
+        EXPECT_EQ(fast.clk.out.read(), after_rise ? Logic::L1 : Logic::L0)
+            << "t=" << t;
+    }
+    EXPECT_EQ(fast.n.read(), 24);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // transform and the block-matching optical flow reference model.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 
@@ -129,6 +130,17 @@ TEST(Census, IlluminationInvariance) {
     for (auto p : f.pixels()) clipped |= (p > 245);
     if (!clipped) {
         EXPECT_EQ(census_transform(f), census_transform(brighter));
+    }
+}
+
+TEST(Census, SignatureDistanceIsTheHammingDistance) {
+    for (unsigned a = 0; a < 256; ++a) {
+        for (unsigned b = 0; b < 256; ++b) {
+            ASSERT_EQ(signature_distance(static_cast<std::uint8_t>(a),
+                                         static_cast<std::uint8_t>(b)),
+                      static_cast<unsigned>(std::popcount(a ^ b)))
+                << a << " ^ " << b;
+        }
     }
 }
 

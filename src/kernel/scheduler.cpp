@@ -17,11 +17,12 @@ Process::Process(Scheduler& sch, std::string name, std::function<void()> fn)
 
 void Process::notify() { sch_.notify_from_body(this); }
 
-void Process::invoke_profiled() {
-    ++invocations_;
-    const auto t0 = std::chrono::steady_clock::now();
-    fn_();
-    self_time_ += std::chrono::steady_clock::now() - t0;
+void Process::time_body() {
+    fn_ = [this, body = std::move(fn_)] {
+        const auto t0 = std::chrono::steady_clock::now();
+        body();
+        self_time_ += std::chrono::steady_clock::now() - t0;
+    };
 }
 
 // -------------------------------------------------------------- SignalBase
@@ -52,7 +53,6 @@ void SignalBase::add_listener(Process& p, Edge e) {
 }
 
 void SignalBase::notify_listeners(bool rising, bool falling) {
-    if (sch_.edge_sig_ != nullptr) sch_.flush_edge();
     for (const Listener& l : listeners_) {
         switch (l.edge) {
             case Edge::Any: sch_.notify_process(l.proc, l.idx); break;
@@ -127,14 +127,6 @@ std::uint64_t Scheduler::skipped_of(const Process& p) const noexcept {
     return n;
 }
 
-void Scheduler::flush_edge() {
-    const SignalBase* s = edge_sig_;
-    edge_sig_ = nullptr;
-    for (const SignalBase::Listener& l : s->listeners_) {
-        notify_process(l.proc, l.idx);
-    }
-}
-
 void Scheduler::run_edge() {
     SignalBase* s = edge_sig_;
     ++s->walks_;
@@ -188,19 +180,7 @@ bool Scheduler::commit_and_notify(std::uint32_t ref) {
             if (s != nullptr) {
                 constexpr auto k1 = static_cast<std::uint8_t>(Logic::L1);
                 constexpr auto k0 = static_cast<std::uint8_t>(Logic::L0);
-                if (!s->pos_only_) {
-                    s->notify_listeners(nxt == k1, nxt == k0);
-                } else if (nxt == k1) {
-                    // Walk the edge in place when nothing is queued for the
-                    // next delta yet; a later notification flushes it.
-                    if (edge_sig_ == nullptr && runnable_.empty() &&
-                        !profiling_) {
-                        edge_sig_ = s;
-                    } else {
-                        s->notify_listeners(true, false);
-                    }
-                }
-                // Any other change of a posedge-only signal wakes nobody.
+                s->notify_listeners(nxt == k1, nxt == k0);
             }
             return true;
         }
@@ -235,28 +215,21 @@ void Scheduler::settle() {
     while (!runnable_.empty() || !updates_.empty() || edge_sig_ != nullptr) {
         ++stats.delta_cycles;
 
-        // Evaluate phase: walk a recorded rising edge in place, or run every
-        // process queued in the previous delta (never both: an edge is
-        // recorded only onto an empty queue). The profiling branch is taken
-        // once per delta, not per process. A gated process is skipped here
-        // rather than at fan-out, so the delta still counts and an earlier
-        // process's wake() in this same delta still lets it run (DESIGN.md
-        // "Activity gating").
+        // Evaluate phase: walk the rising edge toggle_in_place() recorded,
+        // or run every process queued in the previous delta (never both:
+        // the edge is recorded onto an idle kernel, and this first phase
+        // consumes it). A gated process is skipped here rather than at
+        // fan-out, so the delta still counts and an earlier process's
+        // wake() in this same delta still lets it run (DESIGN.md "Activity
+        // gating").
         if (edge_sig_ != nullptr) {
             assert(runnable_.empty());
             run_edge();
         } else {
             run_scratch_.swap(runnable_);
-            if (profiling_) {
-                for (Process* p : run_scratch_) {
-                    sched_flags_[p->index_] = 0;
-                    if (open(p->index_)) p->invoke_profiled();
-                }
-            } else {
-                for (Process* p : run_scratch_) {
-                    sched_flags_[p->index_] = 0;
-                    if (open(p->index_)) p->invoke();
-                }
+            for (Process* p : run_scratch_) {
+                sched_flags_[p->index_] = 0;
+                if (open(p->index_)) p->invoke();
             }
             run_scratch_.clear();
         }
@@ -304,6 +277,8 @@ void Scheduler::toggle_in_place(TimedEvent* ev, Time bound) {
         queue_.reschedule_front(now_ + ev->half_);
         // A fall of a posedge-only signal wakes nobody.
         if (rising) {
+            assert(runnable_.empty() && updates_.empty() &&
+                   "an edge is recorded only onto an idle kernel");
             edge_sig_ = s;
             settle();
         }
@@ -360,6 +335,14 @@ void Scheduler::run() {
     }
 }
 
+void Scheduler::enable_profiling() {
+    // A body would replace its own running std::function.
+    assert(run_scratch_.empty() && walk_end_ == 0 && "not from a body");
+    if (profiling_) return;
+    profiling_ = true;
+    for (Process* p : procs_) p->time_body();
+}
+
 void Scheduler::request_stop(const std::string& reason) {
     if (!stop_requested_) {
         stop_requested_ = true;
@@ -400,9 +383,8 @@ void Scheduler::unregister_signal(SignalBase* s) {
 // ------------------------------------------------------------- checkpoint
 
 bool Scheduler::ckpt_quiescent() const {
-    if (!runnable_.empty() || !updates_.empty() || edge_sig_ != nullptr) {
-        return false;
-    }
+    assert(edge_sig_ == nullptr && "no edge outlives settle()");
+    if (!runnable_.empty() || !updates_.empty()) return false;
     // Every pooled closure node must be on the free list: a pending
     // schedule_at() closure cannot be serialized.
     std::size_t free_count = 0;
@@ -493,7 +475,7 @@ void Scheduler::ckpt_clear_events() {
 void Scheduler::ckpt_quiesce() {
     for (Process* p : runnable_) sched_flags_[p->index_] = 0;
     runnable_.clear();
-    edge_sig_ = nullptr;
+    assert(edge_sig_ == nullptr && "no edge outlives settle()");
     for (const std::uint32_t ref : updates_) {
         if (SignalBase* s = store_.owner_of(ref)) s->update_requested_ = false;
     }

@@ -19,15 +19,16 @@
 // update delta queues are double-buffered so no allocation happens at a
 // steady state; signal values live in a struct-of-arrays store
 // (signal_store.hpp) and commit through a dense packed-reference dirty
-// list with no virtual dispatch; the profiling branch is hoisted out of
-// the per-process loop; and an idle clocked process can gate itself so the
-// evaluate loop skips its body until a wake (DESIGN.md "Activity gating").
-// A rising commit of a signal whose listeners all want only its rising edge
-// runs its open members in place in the next evaluate phase, found by a bit
-// per listener, instead of queueing them one by one, and its other changes
-// wake nobody. Toggles of such a clock that is alone at the front of the
-// queue, with nothing else due, run in place too, cycle after cycle in one
-// loop: no pop, push, fire() or commit delta (DESIGN.md "Kernel event path").
+// list with no virtual dispatch; and an idle clocked process can gate
+// itself so the evaluate loop skips its body until a wake (DESIGN.md
+// "Activity gating"). Toggles of a clock whose listeners all want only its
+// rising edge, alone at the front of the queue with nothing else due, run
+// in place, cycle after cycle in one loop: no pop, push, fire() or commit
+// delta. A fall wakes nobody, and a rise runs the open members in place,
+// found by a bit per listener, instead of queueing them one by one; every
+// other change fans out through the ordinary queue (DESIGN.md "Kernel
+// event path"). Profiling times each body from inside it, so a profiled
+// run takes the same path as any other.
 //
 // Evaluation is sequential; DESIGN.md §13 records why.
 #pragma once
@@ -109,8 +110,9 @@ public:
     /// arrays: scheduled flags, gate flags and skipped counts.
     [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
 
-    /// Accumulated wall-clock self time; only meaningful when the scheduler
-    /// has profiling enabled. Used by the overhead experiment (E3).
+    /// Accumulated wall-clock time in the body since
+    /// Scheduler::enable_profiling(); zero without it. Used by the overhead
+    /// experiment (E3).
     [[nodiscard]] std::chrono::nanoseconds self_time() const noexcept {
         return self_time_;
     }
@@ -119,15 +121,15 @@ private:
     friend class Scheduler;
     friend class SignalBase;
 
-    /// Run the body of an open process. Hot path: no profiling branch — the
-    /// scheduler selects between this and invoke_profiled() once per delta,
-    /// not once per invocation, and tests the gate before either.
+    /// Run the body of an open process; the scheduler tests the gate
+    /// first. A profiled body times itself (time_body()).
     void invoke() {
         ++invocations_;
         fn_();
     }
 
-    void invoke_profiled();
+    /// Wrap the body in a steady_clock pair that adds to self_time_.
+    void time_body();
 
     /// One of this process's Edge::Pos listener positions.
     struct PosSlot {
@@ -226,7 +228,8 @@ private:
     std::uint32_t ref_ = SignalStore::kInvalidRef;
     bool update_requested_ = false;
     /// At least one listener, and every listener is Edge::Pos: only a
-    /// rising commit wakes anyone (DESIGN.md "Kernel event path").
+    /// rising commit wakes anyone, so a toggle of this signal can run in
+    /// place (Scheduler::in_place_front, DESIGN.md "Kernel event path").
     bool pos_only_ = false;
     mutable std::uint64_t snap_id_ = 0;  ///< 0 = not yet computed
 };
@@ -312,9 +315,11 @@ public:
     [[nodiscard]] bool has_diag_from(const std::string& needle) const;
 
     // --- profiling ---------------------------------------------------------
-    /// Enable per-process wall-clock accounting (costs one steady_clock pair
-    /// per invocation; off by default).
-    void set_profiling(bool on) noexcept { profiling_ = on; }
+    /// Time every process body from now on, at one steady_clock pair per
+    /// invocation, into Process::self_time(): each registered process's
+    /// body is wrapped, and so is each one registered later. One-way; a
+    /// second call does nothing. Call it between runs, not from a body.
+    void enable_profiling();
     [[nodiscard]] bool profiling() const noexcept { return profiling_; }
 
     /// All processes ever registered, for profiling reports.
@@ -328,10 +333,9 @@ public:
 
     // --- checkpoint (orchestrated by src/ckpt/) --------------------------
     /// True when the kernel is at a checkpointable quiescent point: no
-    /// runnable process, no recorded rising edge, no pending signal update,
-    /// and no in-flight schedule_at() closure (closures cannot be
-    /// serialized; the recurring event sources — clocks, resets — re-enter
-    /// the queue on restore).
+    /// runnable process, no pending signal update, and no in-flight
+    /// schedule_at() closure (closures cannot be serialized; the recurring
+    /// event sources — clocks, resets — re-enter the queue on restore).
     [[nodiscard]] bool ckpt_quiescent() const;
 
     /// Serialize the kernel core: sim time, stop state, stats, diagnostics,
@@ -396,6 +400,7 @@ private:
         sched_flags_.push_back(0);
         gate_flags_.push_back(0);
         skip_counts_.push_back(0);
+        if (profiling_) p->time_body();
     }
     /// Process::gate()/wake(): the gate flag and the process's open bits.
     void set_gate(const Process& p, bool gated) noexcept {
@@ -427,9 +432,6 @@ private:
     /// Commit one dirty signal from the store and fan out the change.
     /// Returns true when the committed value changed.
     bool commit_and_notify(std::uint32_t ref);
-    /// Fan a recorded rising edge out into the ordinary queue, in listener
-    /// order, before any other notification of the same update phase.
-    void flush_edge();
     /// Evaluate phase of a recorded rising edge: run the members whose open
     /// bit is set, in listener order, re-reading the live word after each
     /// body so a gate counts as it stands when the walk reaches it.
@@ -441,14 +443,13 @@ private:
     /// can run in place, else nullptr: the front is a clock's toggle node
     /// alone at its time, its signal is posedge-only, and nothing else is
     /// due. Test code may write or notify() between run_until() calls (a
-    /// write of the clock itself sits in updates_ too), and a profiled run
-    /// fans out so that invoke_profiled() sees every process. Inline: every
+    /// write of the clock itself sits in updates_ too). Inline: every
     /// timestep pays it.
     [[nodiscard]] TimedEvent* in_place_front(Time bound) const noexcept {
         TimedEvent* ev = queue_.lone_front();
         if (ev == nullptr || ev->time_ > bound || ev->toggles_ == nullptr ||
             !ev->toggles_->pos_only_ || !runnable_.empty() ||
-            !updates_.empty() || profiling_ || stop_requested_) {
+            !updates_.empty() || stop_requested_) {
             return nullptr;
         }
         return ev;
@@ -456,7 +457,7 @@ private:
     /// Run toggles in place from `ev` (in_place_front(bound)) for as long as
     /// in_place_front(bound) finds the next: each toggles the level, counts
     /// what fire() and the commit delta would, moves the node on by half a
-    /// period and, on a rise, settles the edge.
+    /// period and, on a rise, records the edge and settles it.
     void toggle_in_place(TimedEvent* ev, Time bound);
     /// Pop the earliest timestep (the queue is not empty), fire its events,
     /// settle and sample the tracer.
@@ -500,9 +501,11 @@ private:
     std::vector<std::uint8_t> gate_flags_;
     std::vector<std::uint64_t> skip_counts_;
 
-    /// The rising edge the next evaluate phase walks in place, recorded by
-    /// commit_and_notify(), and while it runs the running member's position
-    /// and the walk's end (0 outside a walk).
+    /// The rising edge the next evaluate phase walks in place, and while it
+    /// runs the running member's position and the walk's end (0 outside a
+    /// walk). Only toggle_in_place() records an edge, onto an idle kernel,
+    /// and the first evaluate phase of the settle() it then calls consumes
+    /// it, so no edge outlives that settle(). Every other rise fans out.
     SignalBase* edge_sig_ = nullptr;
     std::size_t walk_pos_ = 0;
     std::size_t walk_end_ = 0;

@@ -81,8 +81,6 @@ OpticalFlowSystem::OpticalFlowSystem(SystemConfig cfg)
       firmware(),
       cpu(sch, "cpu", clk.out, rst.out, plb.master(kMasterCpu), dcr, mem,
           intc.irq, isa::PpcCpu::Config{kFwBase, 5}) {
-    sch.set_profiling(cfg.profiling);
-
     // --- bus topology -----------------------------------------------------
     plb.attach_slave(mem);
 
@@ -324,8 +322,8 @@ std::uint64_t OpticalFlowSystem::config_hash(const SystemConfig& cfg) {
     h = snap_hash64_u64(cfg.clk_period, h);
     h = snap_hash64_u64(cfg.trace_events ? 1 : 0, h);
     h = snap_hash64_u64(cfg.trace_capacity, h);
-    // profiling, lanes, vcd_path and trace_path are deliberately excluded:
-    // they do not change simulation state.
+    // lanes, vcd_path and trace_path are deliberately excluded: they do not
+    // change simulation state.
     //
     // The virtualization-pool fields fold in only when a pool exists, so
     // every single-region configuration hashes exactly as it did before

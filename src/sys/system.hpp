@@ -100,7 +100,6 @@ struct SystemConfig {
     unsigned icap_clk_div = 4;    ///< modified (slow) configuration clock
     unsigned icap_fifo_depth = 32;
     rtlsim::Time clk_period = 10 * rtlsim::NS;  ///< 100 MHz system clock
-    bool profiling = false;       ///< per-process wall-clock accounting
 
     /// Inert: the kernel evaluates sequentially (DESIGN.md §13 records why
     /// event lanes were removed). The field and resolve_lanes() remain only

@@ -258,21 +258,56 @@ TEST(ResetGen, AssertsThenReleases) {
     EXPECT_EQ(rst.out.read(), Logic::L0);
 }
 
+/// A body with work enough for a steady_clock pair to see.
+void busy_body() {
+    int sink = 0;
+    for (int i = 0; i < 1000; ++i) sink += i;
+    // Keep the loop from being optimised away so self_time is nonzero.
+    asm volatile("" : : "r"(sink) : "memory");
+}
+
 TEST(Profiling, CountsInvocationsAndTime) {
     Scheduler sch;
-    sch.set_profiling(true);
+    sch.enable_profiling();
     Clock clk(sch, "clk", 10 * NS);
-    Process p(sch, "busy", [&] {
-        int sink = 0;
-        for (int i = 0; i < 1000; ++i) sink += i;
-        // Keep the loop from being optimised away so self_time is nonzero.
-        asm volatile("" : : "r"(sink) : "memory");
-    });
+    Process p(sch, "busy", busy_body);
     clk.out.add_listener(p, Edge::Pos);
     sch.run_until(100 * NS);
     EXPECT_EQ(p.invocations(), 10u);
     EXPECT_GT(p.self_time().count(), 0);
     EXPECT_GE(sch.processes().size(), 1u);
+}
+
+TEST(Profiling, TimesProcessesRegisteredBeforeAndAfterEnabling) {
+    // `on` enables profiling between its two processes; `off` never does.
+    Scheduler on;
+    Scheduler off;
+    Clock on_clk(on, "clk", 10 * NS);
+    Clock off_clk(off, "clk", 10 * NS);
+    Process on_before(on, "before", busy_body);
+    Process off_before(off, "before", busy_body);
+    on.enable_profiling();
+    EXPECT_TRUE(on.profiling());
+    EXPECT_FALSE(off.profiling());
+    Process on_after(on, "after", busy_body);
+    Process off_after(off, "after", busy_body);
+    for (Process* p : {&on_before, &on_after}) {
+        on_clk.out.add_listener(*p, Edge::Pos);
+    }
+    for (Process* p : {&off_before, &off_after}) {
+        off_clk.out.add_listener(*p, Edge::Pos);
+    }
+    on.run_until(100 * NS);
+    off.run_until(100 * NS);
+    EXPECT_GT(on_before.self_time().count(), 0);
+    EXPECT_GT(on_after.self_time().count(), 0);
+    EXPECT_EQ(off_before.self_time().count(), 0);
+    EXPECT_EQ(off_after.self_time().count(), 0);
+    EXPECT_EQ(on_before.invocations(), 10u);
+    EXPECT_EQ(on_after.invocations(), 10u);
+    EXPECT_EQ(off_before.invocations(), 10u);
+    EXPECT_EQ(off_after.invocations(), 10u);
+    EXPECT_EQ(on.stats, off.stats);
 }
 
 TEST(Tracer, EmitsHeaderAndChanges) {
@@ -555,12 +590,14 @@ TEST(KernelGate, RestoreRejectsAMalformedGateTable) {
 }
 
 // --- the posedge-only fast path --------------------------------------------
-// A rising commit of a signal whose listeners all want only its rising edge
-// runs them in place, and its falls wake nobody (DESIGN.md "Kernel event
-// path"). Each design below is built twice. The `full` twin gives its clock
-// an Edge::Wake listener on a process that never gates, which forces the
-// ordinary fan-out and changes nothing else, so the two must agree on
-// every count, level and checkpoint byte.
+// A lone toggle of a clock whose listeners all want only its rising edge
+// runs in place: a rise runs the open members in place, a fall wakes
+// nobody, and every other rise fans out through the ordinary queue
+// (DESIGN.md "Kernel event path"). Each design below is built twice. The
+// `full` twin gives its clock an Edge::Wake listener on a process that
+// never gates, which keeps every toggle on fire() and the ordinary fan-out
+// and changes nothing else, so the two must agree on every count, level
+// and checkpoint byte.
 
 /// The kernel section and every signal, as a checkpoint writes them.
 [[nodiscard]] std::vector<std::uint8_t> blob_of(const Scheduler& sch) {
@@ -712,11 +749,11 @@ TEST(KernelFastPath, WritesAndNotifiesBetweenRunsMatchTheFullPath) {
 TEST(KernelFastPath, ProfiledTwinsMatch) {
     EdgeDesign fast(false);
     EdgeDesign full(true);
-    fast.sch.set_profiling(true);
-    full.sch.set_profiling(true);
+    fast.sch.enable_profiling();
+    full.sch.enable_profiling();
     ASSERT_NO_FATAL_FAILURE(run_twins(fast, full, 120 * NS, kNothingBetween));
     EXPECT_EQ(fast.counter.invocations(), full.counter.invocations());
-    // Every run went through invoke_profiled(), which times the body.
+    // Each body times itself, walked in place or queued alike.
     EXPECT_GT(fast.counter.self_time().count(), 0);
 }
 
@@ -937,6 +974,35 @@ TEST(KernelFastPath, SeventyMembersAcrossTwoMaskWordsMatchTheFullPath) {
     EXPECT_FALSE(runs_of(64).empty());
     EXPECT_FALSE(runs_of(66).empty());
     EXPECT_FALSE(runs_of(2).empty());
+}
+
+// Profiling times each body from inside it, so a profiled run takes the
+// kernel path an unprofiled one does, and they agree throughout.
+TEST(KernelFastPath, ProfiledRunMatchesAnUnprofiledOne) {
+    EdgeDesign edge_on(false);
+    EdgeDesign edge_off(false);
+    edge_on.sch.enable_profiling();
+    ASSERT_NO_FATAL_FAILURE(
+        run_twins(edge_on, edge_off, 120 * NS, kNothingBetween));
+    EXPECT_EQ(edge_on.seen, edge_off.seen);
+    EXPECT_EQ(edge_on.sleeper.skipped(), edge_off.sleeper.skipped());
+    EXPECT_GT(edge_on.counter.self_time().count(), 0);
+    EXPECT_EQ(edge_off.counter.self_time().count(), 0);
+
+    WideDesign wide_on(false);
+    WideDesign wide_off(false);
+    wide_on.sch.enable_profiling();
+    ASSERT_NO_FATAL_FAILURE(
+        run_twins(wide_on, wide_off, 300 * NS, kNothingBetween));
+    EXPECT_EQ(wide_on.ran, wide_off.ran);
+    for (int i = 0; i < WideDesign::kMembers; ++i) {
+        EXPECT_EQ(wide_on.members[i]->invocations(),
+                  wide_off.members[i]->invocations())
+            << "member " << i;
+        EXPECT_EQ(wide_on.members[i]->skipped(),
+                  wide_off.members[i]->skipped())
+            << "member " << i;
+    }
 }
 
 TEST(KernelFastPath, SaveWhileGatedRestoreAndContinueMatchesTheFullPath) {

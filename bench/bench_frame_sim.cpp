@@ -14,8 +14,10 @@
 //   * no arguments — print the Table II report below (the default, so
 //     `for b in build/bench/*; do $b; done` regenerates the evaluation);
 //   * any --benchmark_* flag — run as a Google Benchmark binary exposing
-//     `bm_frame_sim` (whole-frame wall time at Table II parameters), the
-//     number tools/bench_report.py records and CI gates on.
+//     `bm_frame_sim` (whole-frame wall time at Table II parameters) and
+//     `bm_golden_frame` (the scoreboard's golden census and match of one
+//     frame pair), the numbers tools/bench_report.py records and CI gates
+//     on.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -23,6 +25,9 @@
 
 #include "sys/address_map.hpp"
 #include "sys/testbench.hpp"
+#include "video/census.hpp"
+#include "video/flow.hpp"
+#include "video/synth.hpp"
 
 using namespace autovision;
 using namespace autovision::sys;
@@ -72,6 +77,29 @@ void bm_frame_sim_small(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(bm_frame_sim_small)->Unit(benchmark::kMillisecond);
+
+/// The scoreboard's golden model for one Table II frame pair: the census of
+/// two 320x200 scene frames and their match field at step 4, margin 8,
+/// search 2.
+void bm_golden_frame(benchmark::State& state) {
+    const SystemConfig cfg = table2_config();
+    video::SyntheticScene scene(
+        video::SceneConfig::standard(cfg.width, cfg.height));
+    const video::Frame f0 = scene.frame(0);
+    const video::Frame f1 = scene.frame(1);
+    video::MatchConfig mc;
+    mc.step = cfg.step;
+    mc.margin = cfg.margin;
+    mc.search = static_cast<int>(cfg.search);
+    for (auto _ : state) {
+        const video::Frame c0 = video::census_transform(f0);
+        const video::Frame c1 = video::census_transform(f1);
+        const video::MotionField field = video::match_census(c0, c1, mc);
+        benchmark::DoNotOptimize(field.vectors.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(bm_golden_frame)->Unit(benchmark::kMicrosecond);
 
 void report(const char* name, rtlsim::Time sim, std::chrono::nanoseconds wall) {
     const double sim_ms = rtlsim::to_ms(sim);

@@ -195,23 +195,43 @@ std::uint8_t CensusEngine::sample(const std::vector<std::uint8_t>& row,
         std::clamp(x, 0, static_cast<int>(w_) - 1))];
 }
 
-std::uint8_t CensusEngine::signature(unsigned x) const {
-    // Independent implementation of the 3x3 census (clockwise from
-    // top-left), deliberately *not* shared with video::census_signature so
-    // the scoreboard cross-check is meaningful.
-    const std::uint8_t c = cur_[x];
-    const int xi = static_cast<int>(x);
-    const std::uint8_t n[8] = {
-        sample(prev_, xi - 1), sample(prev_, xi), sample(prev_, xi + 1),
-        sample(cur_, xi + 1),  sample(next_, xi + 1), sample(next_, xi),
-        sample(next_, xi - 1), sample(cur_, xi - 1),
-    };
+namespace {
+
+/// The comparator bank: tap i drives bit 7 - i, set when the tap is
+/// brighter than the centre.
+std::uint8_t compare_taps(std::uint8_t c, const std::uint8_t (&n)[8]) {
     std::uint8_t sig = 0;
     for (int i = 0; i < 8; ++i) {
         sig = static_cast<std::uint8_t>(sig << 1);
         if (n[i] > c) sig |= 1;
     }
     return sig;
+}
+
+}  // namespace
+
+std::uint8_t CensusEngine::signature(unsigned x) const {
+    // Independent implementation of the 3x3 census (clockwise from
+    // top-left), deliberately *not* shared with video::census_signature so
+    // the scoreboard cross-check is meaningful. The line buffers already
+    // hold the vertical clamp; a column with both horizontal taps inside
+    // the row reads them through raw pointers, the two edge columns clamp.
+    const std::uint8_t c = cur_[x];
+    if (x >= 1 && x + 1 < w_) {
+        const std::uint8_t* u = prev_.data() + x;
+        const std::uint8_t* m = cur_.data() + x;
+        const std::uint8_t* d = next_.data() + x;
+        const std::uint8_t n[8] = {u[-1], u[0], u[1],  m[1],
+                                   d[1],  d[0], d[-1], m[-1]};
+        return compare_taps(c, n);
+    }
+    const int xi = static_cast<int>(x);
+    const std::uint8_t n[8] = {
+        sample(prev_, xi - 1), sample(prev_, xi), sample(prev_, xi + 1),
+        sample(cur_, xi + 1),  sample(next_, xi + 1), sample(next_, xi),
+        sample(next_, xi - 1), sample(cur_, xi - 1),
+    };
+    return compare_taps(c, n);
 }
 
 bool CensusEngine::work_cycle() {

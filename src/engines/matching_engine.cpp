@@ -251,13 +251,33 @@ std::uint8_t MatchingEngine::sample(const std::vector<std::uint8_t>& img,
 unsigned MatchingEngine::cost(unsigned x, unsigned y, int dx, int dy) const {
     // 3x3 patch Hamming comparator — evaluated in a single clock, as the
     // hardware computes all nine signature XOR/popcounts in parallel.
+    const int px = static_cast<int>(x) - dx;
+    const int py = static_cast<int>(y) - dy;
+    const auto w = static_cast<int>(w_);
+    const auto h = static_cast<int>(h_);
+    if (x >= 1 && x + 1 < w_ && y >= 1 && y + 1 < h_ && px >= 1 &&
+        px + 1 < w && py >= 1 && py + 1 < h) {
+        // Both patches lie inside the images: XOR each pair of rows as one
+        // word, three bytes packed high first, and add the lane counts.
+        const std::uint8_t* a = cur_.data() + (y - 1) * w_ + (x - 1);
+        const std::uint8_t* b =
+            prev_.data() + static_cast<std::size_t>(py - 1) * w_ + (px - 1);
+        std::uint32_t lanes = 0;
+        for (int r = 0; r < 3; ++r, a += w_, b += w_) {
+            const std::uint32_t ra = std::uint32_t{a[0]} << 16 |
+                                     std::uint32_t{a[1]} << 8 | a[2];
+            const std::uint32_t rb = std::uint32_t{b[0]} << 16 |
+                                     std::uint32_t{b[1]} << 8 | b[2];
+            lanes += video::byte_popcounts(ra ^ rb);
+        }
+        return (lanes & 0xFFu) + (lanes >> 8 & 0xFFu) + (lanes >> 16);
+    }
     unsigned c = 0;
     for (int oy = -1; oy <= 1; ++oy) {
         for (int ox = -1; ox <= 1; ++ox) {
             const std::uint8_t a =
                 sample(cur_, static_cast<int>(x) + ox, static_cast<int>(y) + oy);
-            const std::uint8_t b = sample(prev_, static_cast<int>(x) - dx + ox,
-                                          static_cast<int>(y) - dy + oy);
+            const std::uint8_t b = sample(prev_, px + ox, py + oy);
             c += video::signature_distance(a, b);
         }
     }

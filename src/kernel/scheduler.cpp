@@ -69,13 +69,6 @@ void SignalBase::notify_listeners(bool rising, bool falling) {
     }
 }
 
-void SignalBase::request_update() {
-    if (!update_requested_) {
-        update_requested_ = true;
-        sch_.updates_.push_back(ref_);
-    }
-}
-
 // --------------------------------------------------------------- Scheduler
 
 void Scheduler::FnEvent::fire() {
@@ -168,6 +161,8 @@ bool Scheduler::open_set_in_step(const SignalBase& s) const {
 }
 
 bool Scheduler::commit_and_notify(std::uint32_t ref) {
+    // Most changed commits reach no listener (a data bus, a status word):
+    // those skip the fan-out call.
     const std::uint32_t slot = SignalStore::slot_of(ref);
     switch (SignalStore::kind_of(ref)) {
         case SignalStore::kLogic: {
@@ -177,7 +172,7 @@ bool Scheduler::commit_and_notify(std::uint32_t ref) {
             const std::uint8_t nxt = store_.logic_next[slot];
             if (nxt == cur) return false;
             store_.logic_cur[slot] = nxt;
-            if (s != nullptr) {
+            if (s != nullptr && !s->listeners_.empty()) {
                 constexpr auto k1 = static_cast<std::uint8_t>(Logic::L1);
                 constexpr auto k0 = static_cast<std::uint8_t>(Logic::L0);
                 s->notify_listeners(nxt == k1, nxt == k0);
@@ -195,7 +190,9 @@ bool Scheduler::commit_and_notify(std::uint32_t ref) {
             }
             store_.vec_cur_val[slot] = nval;
             store_.vec_cur_unk[slot] = nunk;
-            if (s != nullptr) s->notify_listeners(false, false);
+            if (s != nullptr && !s->listeners_.empty()) {
+                s->notify_listeners(false, false);
+            }
             return true;
         }
         case SignalStore::kWord: {
@@ -204,7 +201,9 @@ bool Scheduler::commit_and_notify(std::uint32_t ref) {
             const std::uint64_t nxt = store_.word_next[slot];
             if (nxt == store_.word_cur[slot]) return false;
             store_.word_cur[slot] = nxt;
-            if (s != nullptr) s->notify_listeners(false, false);
+            if (s != nullptr && !s->listeners_.empty()) {
+                s->notify_listeners(false, false);
+            }
             return true;
         }
     }

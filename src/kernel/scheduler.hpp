@@ -195,7 +195,8 @@ protected:
     void notify_listeners(bool rising, bool falling);
 
     /// Ask the scheduler to commit this signal's pending value at the end
-    /// of the current delta (idempotent within a delta).
+    /// of the current delta (idempotent within a delta). Inline: every
+    /// changing write() calls it.
     void request_update();
 
     void set_store_ref(std::uint32_t r) noexcept { ref_ = r; }
@@ -516,6 +517,13 @@ private:
     std::uint64_t dropped_diags_ = 0;
     Tracer* tracer_ = nullptr;
 };
+
+inline void SignalBase::request_update() {
+    if (!update_requested_) {
+        update_requested_ = true;
+        sch_.updates_.push_back(ref_);
+    }
+}
 
 inline void Process::gate() noexcept { sch_.set_gate(*this, true); }
 inline void Process::wake() noexcept { sch_.set_gate(*this, false); }

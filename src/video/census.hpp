@@ -20,15 +20,21 @@ inline constexpr int kCensusOffsets[8][2] = {
     {1, 1},   {0, 1},  {-1, 1}, {-1, 0},
 };
 
+/// Byte-lane popcount by SWAR: byte i of the result counts the set bits of
+/// byte i of `v`. std::popcount compiles to a libgcc call on a target
+/// without a popcount instruction (no -mpopcnt or -march here). The one
+/// primitive the golden models share with the RTL engines: each side packs
+/// its own rows and sums its own lanes.
+[[nodiscard]] constexpr std::uint32_t byte_popcounts(std::uint32_t v) noexcept {
+    v -= (v >> 1) & 0x55555555u;
+    v = (v & 0x33333333u) + ((v >> 2) & 0x33333333u);
+    return (v + (v >> 4)) & 0x0F0F0F0Fu;
+}
+
 /// Hamming distance of two census signatures, the per-pixel match cost.
-/// A byte popcount by SWAR: std::popcount compiles to a libgcc call on a
-/// target without a popcount instruction (no -mpopcnt or -march here).
 [[nodiscard]] constexpr unsigned signature_distance(std::uint8_t a,
                                                     std::uint8_t b) noexcept {
-    unsigned v = static_cast<unsigned>(a ^ b);
-    v -= (v >> 1) & 0x55u;
-    v = (v & 0x33u) + ((v >> 2) & 0x33u);
-    return (v + (v >> 4)) & 0x0Fu;
+    return byte_popcounts(static_cast<std::uint32_t>(a ^ b));
 }
 
 /// Signature of the 3x3 neighbourhood centred at (x, y), edge-clamped.
@@ -36,6 +42,8 @@ inline constexpr int kCensusOffsets[8][2] = {
                                             unsigned y);
 
 /// Full-frame census transform; output geometry equals input geometry.
+/// A pixel whose eight neighbours all lie inside the frame takes an
+/// unclamped row kernel; the frame's outer ring takes census_signature.
 [[nodiscard]] Frame census_transform(const Frame& f);
 
 }  // namespace autovision::video

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
+#include <cstddef>
 
 #include "census.hpp"
 
@@ -50,16 +50,16 @@ unsigned match_cost(const Frame& prev_census, const Frame& cur_census,
 
 namespace {
 
-MotionVector match_point(const Frame& prev_census, const Frame& cur_census,
-                         unsigned x, unsigned y, const MatchConfig& cfg) {
+/// The scan every grid point takes, whatever prices its candidates.
+template <class Cost>
+MotionVector argmin_scan(unsigned x, unsigned y, int search, Cost cost) {
     MotionVector best{x, y, 0, 0, ~0u};
     // Fixed scan order with strict improvement gives a deterministic
     // tie-break (first candidate in scan order wins) that the RTL engine
     // replicates exactly.
-    for (int dy = -cfg.search; dy <= cfg.search; ++dy) {
-        for (int dx = -cfg.search; dx <= cfg.search; ++dx) {
-            const unsigned c =
-                match_cost(prev_census, cur_census, x, y, dx, dy, cfg);
+    for (int dy = -search; dy <= search; ++dy) {
+        for (int dx = -search; dx <= search; ++dx) {
+            const unsigned c = cost(dx, dy);
             if (c < best.cost) {
                 best.dx = dx;
                 best.dy = dy;
@@ -70,48 +70,68 @@ MotionVector match_point(const Frame& prev_census, const Frame& cur_census,
     return best;
 }
 
+/// True iff [v - reach, v + reach] lies inside [0, dim).
+bool spans_inside(unsigned v, unsigned reach, unsigned dim) {
+    return v >= reach && v + reach < dim;
+}
+
+/// Three consecutive signatures of a row, packed low byte first.
+std::uint32_t row3(const std::uint8_t* p) {
+    return p[0] | std::uint32_t{p[1]} << 8 | std::uint32_t{p[2]} << 16;
+}
+
+MotionVector match_point(const Frame& prev_census, const Frame& cur_census,
+                         unsigned x, unsigned y, const MatchConfig& cfg) {
+    const auto reach = static_cast<unsigned>(std::max(cfg.search, 0)) + 1;
+    if (cfg.patch == 1 && spans_inside(x, 1, cur_census.width()) &&
+        spans_inside(y, 1, cur_census.height()) &&
+        spans_inside(x, reach, prev_census.width()) &&
+        spans_inside(y, reach, prev_census.height())) {
+        // Every candidate's 3x3 patch lies inside both frames: cost it as
+        // three 3-byte row XORs, with the per-lane counts summed at once.
+        const std::size_t cw = cur_census.width();
+        const auto pw = static_cast<std::ptrdiff_t>(prev_census.width());
+        const std::uint8_t* c =
+            cur_census.pixels().data() + (y - 1) * cw + (x - 1);
+        const std::uint32_t c0 = row3(c);
+        const std::uint32_t c1 = row3(c + cw);
+        const std::uint32_t c2 = row3(c + 2 * cw);
+        const std::uint8_t* p =
+            prev_census.pixels().data() + (y - 1) * pw + (x - 1);
+        return argmin_scan(x, y, cfg.search, [&](int dx, int dy) {
+            const std::uint8_t* q = p - (dy * pw + dx);
+            const std::uint32_t lanes = byte_popcounts(c0 ^ row3(q)) +
+                                        byte_popcounts(c1 ^ row3(q + pw)) +
+                                        byte_popcounts(c2 ^ row3(q + 2 * pw));
+            // Lanes 0..2 hold at most 24 each: byte 2 of the product is
+            // their sum, with no carry in from below.
+            return (lanes * 0x010101u) >> 16 & 0xFFu;
+        });
+    }
+    return argmin_scan(x, y, cfg.search, [&](int dx, int dy) {
+        return match_cost(prev_census, cur_census, x, y, dx, dy, cfg);
+    });
+}
+
 }  // namespace
 
 MotionField match_census(const Frame& prev_census, const Frame& cur_census,
-                         const MatchConfig& cfg, unsigned num_threads) {
+                         const MatchConfig& cfg) {
     MotionField field;
     field.cfg = cfg;
     field.frame_w = cur_census.width();
     field.frame_h = cur_census.height();
     const unsigned gw = field.grid_w();
     const unsigned gh = field.grid_h();
-    field.vectors.resize(std::size_t{gw} * gh);
-
-    auto do_rows = [&](unsigned row0, unsigned row1) {
-        for (unsigned gy = row0; gy < row1; ++gy) {
-            const unsigned y = cfg.margin + gy * cfg.step;
-            for (unsigned gx = 0; gx < gw; ++gx) {
-                const unsigned x = cfg.margin + gx * cfg.step;
-                field.vectors[std::size_t{gy} * gw + gx] =
-                    match_point(prev_census, cur_census, x, y, cfg);
-            }
+    field.vectors.reserve(std::size_t{gw} * gh);
+    for (unsigned gy = 0; gy < gh; ++gy) {
+        const unsigned y = cfg.margin + gy * cfg.step;
+        for (unsigned gx = 0; gx < gw; ++gx) {
+            const unsigned x = cfg.margin + gx * cfg.step;
+            field.vectors.push_back(
+                match_point(prev_census, cur_census, x, y, cfg));
         }
-    };
-
-    const unsigned workers =
-        std::max(1u, std::min(num_threads, gh == 0 ? 1u : gh));
-    if (workers == 1 || gh < 2) {
-        do_rows(0, gh);
-        return field;
     }
-
-    // Static row partition: grid points are independent, so the result is
-    // identical for any worker count.
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    const unsigned chunk = (gh + workers - 1) / workers;
-    for (unsigned w = 0; w < workers; ++w) {
-        const unsigned r0 = w * chunk;
-        const unsigned r1 = std::min(gh, r0 + chunk);
-        if (r0 >= r1) break;
-        pool.emplace_back(do_rows, r0, r1);
-    }
-    for (auto& t : pool) t.join();
     return field;
 }
 

@@ -67,13 +67,15 @@ struct MotionField {
                                   unsigned y, int dx, int dy,
                                   const MatchConfig& cfg);
 
-/// Full-field match. `num_threads` > 1 splits grid rows across worker
-/// threads; results are identical regardless of thread count (each grid
-/// point is independent).
+/// Full-field match: at each grid point, the displacement of least
+/// match_cost, scanned dy-major from (-search, -search) with strict
+/// improvement, so the first candidate in scan order wins a tie. With a
+/// 3x3 patch, a grid point whose whole search window lies inside both
+/// frames costs each candidate from packed rows; any other point takes
+/// match_cost itself.
 [[nodiscard]] MotionField match_census(const Frame& prev_census,
                                        const Frame& cur_census,
-                                       const MatchConfig& cfg,
-                                       unsigned num_threads = 1);
+                                       const MatchConfig& cfg);
 
 /// Render a colour overlay: the input frame in grayscale with motion
 /// vectors above `min_mag` drawn as bright traces. Returns R/G/B planes

@@ -2,6 +2,8 @@
 // the independent golden models in src/video.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "bus/memory.hpp"
 #include "bus/plb.hpp"
 #include "engines/census_engine.hpp"
@@ -304,6 +306,63 @@ TEST(Engines, BothEnginesRunSequentiallyThroughSwaps) {
     EXPECT_EQ(tb.cie.jobs_completed(), 1u);
     EXPECT_EQ(tb.me.jobs_completed(), 1u);
 }
+
+// Both engines on a small frame whose grid reaches the frame edge (margin
+// 0 and 1): the CIE's edge columns, and every ME candidate that reaches
+// past the frame, take the clamped path, checked against the golden models.
+// Random bytes make nearly every candidate's cost distinct, so one wrong
+// cost at the border shows in the field.
+class EngineBorder : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(EngineBorder, MatchesGoldenModels) {
+    EngineTb tb;
+    const unsigned w = 20;
+    const unsigned h = 14;
+    std::mt19937 rng(GetParam() + 5);
+    const auto random_frame = [&] {
+        video::Frame f(w, h);
+        for (auto& p : f.pixels()) p = static_cast<std::uint8_t>(rng());
+        return f;
+    };
+    const video::Frame in = random_frame();
+    const video::Frame c0 = random_frame();
+    const video::Frame c1 = random_frame();
+    tb.load_frame(kFrameAddr, in);
+    tb.load_frame(kCensusPrevAddr, c0);
+
+    tb.rr.select(0);
+    program_cie(tb, w, h);
+    tb.run_cycles(5);
+    tb.cie_regs.dcr_write(0x60, rtlsim::Word{1});
+    ASSERT_TRUE(tb.run_to_done(tb.cie_regs, 40000));
+    EXPECT_EQ(tb.read_frame(kCensusAddr, w, h)
+                  .count_mismatches(video::census_transform(in)),
+              0u);
+
+    tb.load_frame(kCensusAddr, c1);
+    video::MatchConfig mc;
+    mc.step = 1;
+    mc.margin = GetParam();
+    mc.search = 2;
+    tb.rr.select(1);
+    program_me(tb, w, h, mc);
+    tb.run_cycles(5);
+    tb.me_regs.dcr_write(0x68, rtlsim::Word{1});
+    ASSERT_TRUE(tb.run_to_done(tb.me_regs, 120000));
+
+    const video::MotionField want = video::match_census(c0, c1, mc);
+    const unsigned gw = want.grid_w();
+    ASSERT_EQ(want.at(0, 0).x, mc.margin) << "a grid point on the border";
+    for (unsigned gy = 0; gy < want.grid_h(); ++gy) {
+        for (unsigned gx = 0; gx < gw; ++gx) {
+            EXPECT_EQ(tb.mem.peek_u32(kMotionAddr + 4 * (gy * gw + gx)),
+                      video::encode_motion_word(want.at(gx, gy)))
+                << "grid point (" << gx << "," << gy << ")";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Margins, EngineBorder, ::testing::Values(0u, 1u));
 
 // Geometry sweep: the engine must stay bit-exact for many frame shapes.
 class CieGeometry

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <random>
 
 #include "video/census.hpp"
 #include "video/flow.hpp"
@@ -144,6 +145,37 @@ TEST(Census, SignatureDistanceIsTheHammingDistance) {
     }
 }
 
+TEST(Census, TransformMatchesPerPixelDefinition) {
+    // census_transform's interior row kernel and its clamped outer ring
+    // must agree with census_signature at every pixel, for frames with no
+    // interior (1xN, Nx1, 2x2), one interior pixel (3x3) and many.
+    std::mt19937 rng(20130520);
+    const std::pair<unsigned, unsigned> shapes[] = {
+        {1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 3}, {17, 5}, {320, 200}};
+    for (const auto& [w, h] : shapes) {
+        Frame random(w, h);
+        for (auto& p : random.pixels()) p = static_cast<std::uint8_t>(rng());
+        Frame checker(w, h);
+        for (unsigned y = 0; y < h; ++y) {
+            for (unsigned x = 0; x < w; ++x) {
+                checker.at(x, y) = ((x + y) % 2 != 0) ? 200 : 10;
+            }
+        }
+        const Frame frames[] = {random, Frame(w, h, 128), checker};
+        for (const Frame& f : frames) {
+            const Frame c = census_transform(f);
+            ASSERT_EQ(c.width(), w);
+            ASSERT_EQ(c.height(), h);
+            for (unsigned y = 0; y < h; ++y) {
+                for (unsigned x = 0; x < w; ++x) {
+                    ASSERT_EQ(c.at(x, y), census_signature(f, x, y))
+                        << w << "x" << h << " at (" << x << "," << y << ")";
+                }
+            }
+        }
+    }
+}
+
 TEST(Flow, MotionWordRoundTrip) {
     MotionVector v{12, 34, -3, 4, 77};
     const std::uint32_t w = encode_motion_word(v);
@@ -204,17 +236,72 @@ TEST(Flow, RecoversKnownTranslation) {
         << "at least 90% of interior points recover the ground truth";
 }
 
-TEST(Flow, ThreadCountDoesNotChangeResult) {
-    SyntheticScene s(SceneConfig::standard(96, 64, 9));
-    const Frame c0 = census_transform(s.frame(0));
-    const Frame c1 = census_transform(s.frame(1));
-    MatchConfig mc;
-    mc.step = 3;
-    const MotionField f1 = match_census(c0, c1, mc, 1);
-    const MotionField f4 = match_census(c0, c1, mc, 4);
-    const MotionField f9 = match_census(c0, c1, mc, 9);
-    EXPECT_EQ(f1.vectors, f4.vectors);
-    EXPECT_EQ(f1.vectors, f9.vectors);
+TEST(Flow, MatchMatchesScalarDefinition) {
+    // match_census against a scan-order argmin over match_cost. Margins
+    // below search + patch put grid points on the clamped path; the rest
+    // take the packed 3x3 kernel. Two-level census images make many
+    // candidates tie, so the strict-improvement tie-break is exercised.
+    std::mt19937 rng(7919);
+    const unsigned w = 23;
+    const unsigned h = 17;
+    Frame rich_prev(w, h);
+    Frame rich_cur(w, h);
+    Frame tie_prev(w, h);
+    Frame tie_cur(w, h);
+    for (std::size_t i = 0; i < rich_prev.size(); ++i) {
+        rich_prev.pixels()[i] = static_cast<std::uint8_t>(rng());
+        rich_cur.pixels()[i] = static_cast<std::uint8_t>(rng());
+        tie_prev.pixels()[i] = (rng() % 4 == 0) ? 0x81 : 0x00;
+        tie_cur.pixels()[i] = (rng() % 4 == 0) ? 0x81 : 0x00;
+    }
+    const std::pair<const Frame*, const Frame*> pairs[] = {
+        {&rich_prev, &rich_cur}, {&tie_prev, &tie_cur}};
+    unsigned points = 0;
+    for (const auto& [prev, cur] : pairs) {
+        for (int search = 1; search <= 4; ++search) {
+            for (int patch = 0; patch <= 2; ++patch) {
+                for (unsigned margin = 0;
+                     margin < static_cast<unsigned>(search + patch); ++margin) {
+                    for (unsigned step = 1; step <= 5; ++step) {
+                        MatchConfig mc;
+                        mc.search = search;
+                        mc.patch = patch;
+                        mc.margin = margin;
+                        mc.step = step;
+                        const MotionField f = match_census(*prev, *cur, mc);
+                        ASSERT_EQ(f.vectors.size(),
+                                  std::size_t{f.grid_w()} * f.grid_h());
+                        for (unsigned gy = 0; gy < f.grid_h(); ++gy) {
+                            for (unsigned gx = 0; gx < f.grid_w(); ++gx) {
+                                MotionVector want{margin + gx * step,
+                                                  margin + gy * step, 0, 0,
+                                                  ~0u};
+                                for (int dy = -search; dy <= search; ++dy) {
+                                    for (int dx = -search; dx <= search; ++dx) {
+                                        const unsigned c = match_cost(
+                                            *prev, *cur, want.x, want.y, dx,
+                                            dy, mc);
+                                        if (c < want.cost) {
+                                            want.dx = dx;
+                                            want.dy = dy;
+                                            want.cost = c;
+                                        }
+                                    }
+                                }
+                                ASSERT_EQ(f.at(gx, gy), want)
+                                    << "search " << search << " patch "
+                                    << patch << " margin " << margin
+                                    << " step " << step << " at (" << want.x
+                                    << "," << want.y << ")";
+                                ++points;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(points, 1000u);
 }
 
 TEST(Flow, CostIsHammingDistance) {
